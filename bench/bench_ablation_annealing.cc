@@ -9,6 +9,8 @@
 // or beats the APC's, but its worst-off application does far worse.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "core/annealing_optimizer.h"
 #include "core/placement_optimizer.h"
@@ -58,6 +60,11 @@ struct Contended {
   }
 };
 
+double MinUtility(const PlacementEvaluation& e) {
+  return *std::min_element(e.entity_utilities.begin(),
+                           e.entity_utilities.end());
+}
+
 double SumUtility(const PlacementEvaluation& e) {
   double s = 0.0;
   for (Utility u : e.entity_utilities) s += u;
@@ -72,9 +79,9 @@ void BM_ApcMaxMin(benchmark::State& state) {
     PlacementOptimizer opt(&snap);
     auto result = opt.Optimize();
     eval = std::move(result.evaluation);
-    benchmark::DoNotOptimize(eval.sorted_utilities);
+    benchmark::DoNotOptimize(eval.entity_utilities);
   }
-  state.counters["min_utility"] = eval.sorted_utilities.front();
+  state.counters["min_utility"] = MinUtility(eval);
   state.counters["sum_utility"] = SumUtility(eval);
 }
 BENCHMARK(BM_ApcMaxMin)->Unit(benchmark::kMillisecond);
@@ -94,9 +101,9 @@ void BM_AnnealingObjective(benchmark::State& state) {
     AnnealingPlacementOptimizer opt(&snap, opts);
     auto result = opt.Optimize();
     eval = std::move(result.evaluation);
-    benchmark::DoNotOptimize(eval.sorted_utilities);
+    benchmark::DoNotOptimize(eval.entity_utilities);
   }
-  state.counters["min_utility"] = eval.sorted_utilities.front();
+  state.counters["min_utility"] = MinUtility(eval);
   state.counters["sum_utility"] = SumUtility(eval);
 }
 BENCHMARK(BM_AnnealingObjective)

@@ -27,7 +27,10 @@ double AnnealingPlacementOptimizer::Score(
       return sum;
     }
     case Objective::kMinUtility:
-      return eval.sorted_utilities.empty() ? 0.0 : eval.sorted_utilities.front();
+      return eval.entity_utilities.empty()
+                 ? 0.0
+                 : *std::min_element(eval.entity_utilities.begin(),
+                                     eval.entity_utilities.end());
   }
   return 0.0;
 }

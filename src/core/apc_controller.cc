@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -561,7 +562,7 @@ void ApcController::RecordObservability(
     trace.cycle = cycle_index_;
     trace.time = stats.time;
     trace.rp_before = result.incumbent_utilities;
-    trace.rp_after = result.evaluation.sorted_utilities;
+    trace.rp_after = RpVector(result.evaluation.entity_utilities);
     trace.avg_job_rp = stats.avg_job_rp;
     trace.min_job_rp = stats.min_job_rp;
     trace.num_jobs = stats.num_jobs;
@@ -709,28 +710,24 @@ int ApcController::QuickDispatchAt(Seconds now, int max_placements) {
   std::vector<Job*> waiting = queue_->AwaitingPlacement();
   if (waiting.empty() || max_placements <= 0) return 0;
   // Lowest relative performance first: the job whose achievable RP has
-  // decayed the most is dispatched first. Under the Karma objective the
-  // ranking uses the same biased (effective) utility the evaluator ranks
-  // need by, so credits earned while waiting are redeemed at event-driven
-  // dispatch too, not only at full control cycles.
-  const FairnessObjectiveConfig& objective =
-      config_.optimizer.evaluator.objective;
-  const bool karma = objective.kind == FairnessObjectiveKind::kKarma;
-  auto karma_bias = [&](const Job& job) -> double {
-    const auto it = karma_credits_.find(job.id());
-    if (it == karma_credits_.end()) return 0.0;
-    return -objective.karma_weight *
-           std::clamp(it->second, 0.0, objective.karma_cap) /
-           objective.karma_cap;
-  };
-  std::stable_sort(waiting.begin(), waiting.end(),
-                   [now, karma, &karma_bias](Job* a, Job* b) {
-    if (!karma) {
-      return a->MaxAchievableUtility(now) < b->MaxAchievableUtility(now);
-    }
-    return a->MaxAchievableUtility(now) + karma_bias(*a) <
-           b->MaxAchievableUtility(now) + karma_bias(*b);
-  });
+  // decayed the most is dispatched first. Ledger credits bias the ranking
+  // exactly as they bias the evaluator's need ranking (KarmaBias), so
+  // credits earned while waiting are redeemed at event-driven dispatch too,
+  // not only at full control cycles. The ledger is empty unless the
+  // objective is Karma.
+  std::vector<std::pair<double, Job*>> ranked;
+  ranked.reserve(waiting.size());
+  for (Job* job : waiting) {
+    const auto it = karma_credits_.find(job->id());
+    const double bias =
+        it == karma_credits_.end()
+            ? 0.0
+            : KarmaBias(config_.optimizer.evaluator.objective, it->second);
+    ranked.emplace_back(job->MaxAchievableUtility(now) + bias, job);
+  }
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < ranked.size(); ++i) waiting[i] = ranked[i].second;
 
   std::vector<Megabytes> free_mem;
   std::vector<MHz> free_cpu;

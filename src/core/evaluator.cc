@@ -8,6 +8,11 @@
 
 namespace mwp {
 
+std::vector<Utility> RpVector(std::vector<Utility> entity_utilities) {
+  std::sort(entity_utilities.begin(), entity_utilities.end());
+  return entity_utilities;
+}
+
 PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot)
     : PlacementEvaluator(snapshot, Options{}) {}
 
@@ -36,8 +41,6 @@ PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot,
         snap.now() + snap.control_cycle(), grid_, snap.num_jobs());
   }
 
-  // nullptr for the default max-min objective: Evaluate and Compare then
-  // take exactly the pre-objective code paths (bit-exactness contract).
   objective_ = MakeFairnessObjective(options_.objective, snap);
 }
 
@@ -171,61 +174,29 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
     }
   }
 
-  if (objective_ == nullptr) {
-    if (reject_bound != nullptr && !eval.entity_utilities.empty() &&
-        !reject_bound->sorted_utilities.empty()) {
-      // Lexicographic early exit: the candidate's minimum utility is its
-      // sorted index 0. Losing there by more than the tolerance is exactly
-      // Compare's first -1 branch — no later index can save the candidate —
-      // so skip materializing the sorted vector and the change list.
-      const Utility cand_min = *std::min_element(eval.entity_utilities.begin(),
-                                                 eval.entity_utilities.end());
-      if (cand_min - reject_bound->sorted_utilities[0] <
-          -options_.tie_tolerance) {
-        eval.rejected_by_bound = true;
-        return eval;
-      }
-    }
-  } else if (reject_bound != nullptr && !eval.entity_utilities.empty() &&
-             !reject_bound->objective_score.empty() &&
-             objective_->RejectedByBound(eval.entity_utilities,
-                                         reject_bound->objective_score,
-                                         options_.tie_tolerance)) {
+  if (reject_bound != nullptr && !eval.entity_utilities.empty() &&
+      !reject_bound->score.empty() &&
+      objective_->RejectedByBound(eval.entity_utilities, reject_bound->score,
+                                  options_.tie_tolerance)) {
+    // Compare against the bound would return -1 whatever the later indices
+    // hold, so skip materializing the score and the change list.
     eval.rejected_by_bound = true;
     return eval;
   }
 
   eval.changes = DiffPlacements(snap.current_placement(), p,
                                 removal_is_suspend_, addition_is_resume_);
-
-  eval.sorted_utilities = eval.entity_utilities;
-  std::sort(eval.sorted_utilities.begin(), eval.sorted_utilities.end());
-  if (objective_ != nullptr) {
-    objective_->Score(eval.entity_utilities, eval.objective_score);
-  }
+  objective_->Score(eval.entity_utilities, eval.score);
   return eval;
 }
 
 int PlacementEvaluator::Compare(const PlacementEvaluation& a,
                                 const PlacementEvaluation& b) const {
   MWP_CHECK_MSG(!a.rejected_by_bound && !b.rejected_by_bound,
-                "bound-rejected evaluations have no sorted vector to compare");
-  if (objective_ != nullptr) {
-    // Non-default objective: same lexicographic loop and tie-break, over
-    // the objective's score vector instead of the sorted utilities.
-    MWP_DCHECK(a.objective_score.size() == b.objective_score.size());
-    for (std::size_t i = 0; i < a.objective_score.size(); ++i) {
-      const double diff = a.objective_score[i] - b.objective_score[i];
-      if (diff > options_.tie_tolerance) return 1;
-      if (diff < -options_.tie_tolerance) return -1;
-    }
-    if (a.changes.size() < b.changes.size()) return 1;
-    if (a.changes.size() > b.changes.size()) return -1;
-    return 0;
-  }
-  MWP_DCHECK(a.sorted_utilities.size() == b.sorted_utilities.size());
-  for (std::size_t i = 0; i < a.sorted_utilities.size(); ++i) {
-    const double diff = a.sorted_utilities[i] - b.sorted_utilities[i];
+                "bound-rejected evaluations have no score to compare");
+  MWP_DCHECK(a.score.size() == b.score.size());
+  for (std::size_t i = 0; i < a.score.size(); ++i) {
+    const double diff = a.score[i] - b.score[i];
     if (diff > options_.tie_tolerance) return 1;
     if (diff < -options_.tie_tolerance) return -1;
   }

@@ -12,10 +12,11 @@
 //      allocation ω_g = Σ_m ω_m of the next cycle;
 //   4. transactional utilities come from the queuing model at their
 //      allocations.
-// The resulting per-entity utilities, sorted ascending, are the placement's
-// score; comparison is lexicographic with a tolerance, with the number of
-// placement changes as tie-breaker (the paper keeps the incumbent when RP
-// vectors tie — Figure 1, S1 cycle 2).
+// The configured FairnessObjective turns the per-entity utilities into the
+// placement's score — for the paper's max-min, the utilities sorted
+// ascending (the RP vector). Comparison is lexicographic with a tolerance,
+// with the number of placement changes as tie-breaker (the paper keeps the
+// incumbent when RP vectors tie — Figure 1, S1 cycle 2).
 //
 // Hot path: with Options::incremental (the default) step 3 assembles the
 // hypothetical RPF from per-job columns memoized in a HypColumnCache
@@ -23,9 +24,9 @@
 // an EvalScratch. Both paths funnel through the same column / interpolation
 // code, so incremental evaluation is bit-for-bit identical to the
 // from-scratch path (property-tested). Evaluate also accepts an optional
-// reject bound: a candidate whose minimum utility already loses
-// lexicographically against the bound at index 0 is rejected before the
-// full sorted vector and change list are materialized — exactly the
+// reject bound: a candidate the objective proves loses against the bound's
+// score at its first index (max-min: the minimum biased utility) is
+// rejected before the score and change list are materialized — exactly the
 // outcome Compare would reach, at a fraction of the cost.
 #pragma once
 
@@ -46,8 +47,9 @@ struct PlacementEvaluation {
   /// Final predicted utility per entity (jobs: hypothetical at t+T or exact
   /// completion utility; transactional apps: queuing-model utility).
   std::vector<Utility> entity_utilities;
-  /// entity_utilities sorted ascending — the optimization objective.
-  std::vector<Utility> sorted_utilities;
+  /// The fairness objective's score of entity_utilities, compared
+  /// lexicographically ascending by Compare; the reject bound reads it too.
+  std::vector<double> score;
   /// Reconfiguration actions relative to the snapshot's current placement.
   std::vector<PlacementChange> changes;
   /// Aggregate CPU given to batch jobs (ω_g) and to transactional apps.
@@ -57,24 +59,22 @@ struct PlacementEvaluation {
   /// W matrix (jobs completing within the cycle carry their current
   /// allocation). Indexed like the snapshot's jobs.
   std::vector<MHz> job_future_speeds;
-  /// Score vector under a non-default FairnessObjective, compared
-  /// lexicographically ascending by Compare. Empty under the default
-  /// lexicographic max-min objective, whose score IS sorted_utilities —
-  /// keeping the default evaluation byte-identical to the pre-objective
-  /// evaluator.
-  std::vector<double> objective_score;
-  /// True when the evaluation was cut short by the reject bound: the
-  /// candidate's minimum utility loses at sorted index 0, so Compare
-  /// against the bound would return -1. sorted_utilities and changes are
-  /// not populated in that case.
+  /// True when the evaluation was cut short by the reject bound: Compare
+  /// against the bound would return -1. score and changes are not
+  /// populated in that case.
   bool rejected_by_bound = false;
 };
+
+/// The relative-performance vector: `entity_utilities` sorted ascending.
+/// Traces record it (rp_before/rp_after) and replay compares it; it is not
+/// computed per candidate.
+std::vector<Utility> RpVector(std::vector<Utility> entity_utilities);
 
 class PlacementEvaluator {
  public:
   struct Options {
-    /// Sorted utility vectors whose elements all differ by less than this
-    /// are considered tied (then fewer changes wins). The default exceeds
+    /// Score vectors whose elements all differ by less than this are
+    /// considered tied (then fewer changes wins). The default exceeds
     /// one control cycle's worth of goal decay for the paper's Experiment
     /// One jobs (600 s / 47,520 s ≈ 0.0126), which is what keeps the
     /// algorithm from churning suspend/resume rotations among identical
@@ -88,8 +88,8 @@ class PlacementEvaluator {
     /// each call (the reference path the equivalence tests compare
     /// against). Results are bit-for-bit identical either way.
     bool incremental = true;
-    /// The fairness objective scoring candidate placements. kMaxMin (the
-    /// default) takes the original hardwired lexicographic max-min path.
+    /// The fairness objective scoring candidate placements (default: the
+    /// paper's lexicographic max-min).
     FairnessObjectiveConfig objective;
   };
 
@@ -100,25 +100,24 @@ class PlacementEvaluator {
 
   /// As above with caller-provided scratch (one per thread for concurrent
   /// evaluation) and an optional reject bound: when `reject_bound` is
-  /// non-null and the candidate's minimum utility loses against
-  /// reject_bound->sorted_utilities[0] by more than the tie tolerance, the
-  /// returned evaluation has rejected_by_bound set and omits the sorted
-  /// vector and change list.
+  /// non-null and the objective proves the candidate loses against
+  /// reject_bound->score by more than the tie tolerance, the returned
+  /// evaluation has rejected_by_bound set and omits the score and change
+  /// list.
   PlacementEvaluation Evaluate(const PlacementMatrix& p, EvalScratch& scratch,
                                const PlacementEvaluation* reject_bound) const;
 
-  /// Lexicographic comparison of sorted utility vectors with tolerance:
-  /// returns +1 when `a` is strictly better, -1 when worse, 0 when tied.
-  /// On utility ties, the evaluation with fewer changes is better.
+  /// Lexicographic comparison of score vectors with tolerance: returns +1
+  /// when `a` is strictly better, -1 when worse, 0 when tied. On score
+  /// ties, the evaluation with fewer changes is better.
   int Compare(const PlacementEvaluation& a, const PlacementEvaluation& b) const;
 
   const PlacementSnapshot& snapshot() const { return *snapshot_; }
   const Options& options() const { return options_; }
 
-  /// The active non-default fairness objective, or nullptr under the
-  /// default lexicographic max-min. Callers ranking per-entity need (wish
-  /// order, rebalancer worst-job picks) consult EntityBias through this.
-  const FairnessObjective* objective() const { return objective_.get(); }
+  /// The fairness objective. Callers ranking per-entity need (wish order,
+  /// rebalancer worst-job picks) consult EntityBias through this.
+  const FairnessObjective& objective() const { return *objective_; }
 
   /// Column-cache statistics (zero when incremental is off).
   std::size_t cache_hits() const;
@@ -137,7 +136,6 @@ class PlacementEvaluator {
   /// Memoized hypothetical columns (null when incremental is off). The
   /// cache is behaviourally transparent, hence usable from const Evaluate.
   std::unique_ptr<HypColumnCache> column_cache_;
-  /// Non-null only for a non-default objective (see objective()).
   std::unique_ptr<FairnessObjective> objective_;
   /// Scratch for the one-argument Evaluate overload.
   mutable EvalScratch scratch_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 #include "core/snapshot.h"
@@ -10,29 +9,23 @@
 namespace mwp {
 namespace {
 
-class KarmaObjective final : public FairnessObjective {
+class MaxMinObjective final : public FairnessObjective {
  public:
-  KarmaObjective(const FairnessObjectiveConfig& config,
-                 const PlacementSnapshot& snapshot)
-      : config_(config) {
-    MWP_CHECK(config_.karma_cap > 0.0);
-    MWP_CHECK(config_.karma_weight >= 0.0);
-    bias_.assign(static_cast<std::size_t>(snapshot.num_entities()), 0.0);
-    const std::vector<double>& credits = snapshot.fairness_credits();
-    if (!credits.empty()) {
-      MWP_CHECK(credits.size() == bias_.size());
-      for (std::size_t e = 0; e < credits.size(); ++e) {
-        // High credits => the tenant has been shortchanged => make it look
-        // needier so max-min lifts it first.
-        bias_[e] = -config_.karma_weight *
-                   std::clamp(credits[e], 0.0, config_.karma_cap) /
-                   config_.karma_cap;
-      }
+  MaxMinObjective(const FairnessObjectiveConfig& config,
+                  const PlacementSnapshot& snapshot)
+      : bias_(static_cast<std::size_t>(snapshot.num_entities()), 0.0) {
+    if (config.kind == FairnessObjectiveKind::kKarma) {
+      MWP_CHECK(config.karma_cap > 0.0);
+      MWP_CHECK(config.karma_weight >= 0.0);
     }
-  }
-
-  FairnessObjectiveKind kind() const override {
-    return FairnessObjectiveKind::kKarma;
+    const std::vector<double>& credits = snapshot.fairness_credits();
+    if (config.kind != FairnessObjectiveKind::kKarma || credits.empty()) {
+      return;
+    }
+    MWP_CHECK(credits.size() == bias_.size());
+    for (std::size_t e = 0; e < credits.size(); ++e) {
+      bias_[e] = KarmaBias(config, credits[e]);
+    }
   }
 
   void Score(const std::vector<Utility>& entity_utilities,
@@ -47,11 +40,11 @@ class KarmaObjective final : public FairnessObjective {
   bool RejectedByBound(const std::vector<Utility>& entity_utilities,
                        const std::vector<double>& bound_score,
                        double tie_tolerance) const override {
-    // Identical shape to the max-min early exit: the candidate's minimum
-    // *effective* utility is its score's index 0; losing there by more than
-    // the tolerance is Compare's first -1 branch.
-    double cand_min = std::numeric_limits<double>::infinity();
-    for (std::size_t e = 0; e < entity_utilities.size(); ++e) {
+    // The candidate's minimum biased utility is its score's index 0; losing
+    // there by more than the tolerance is Compare's first -1 branch, and no
+    // later index can save the candidate.
+    double cand_min = entity_utilities[0] + bias_[0];
+    for (std::size_t e = 1; e < entity_utilities.size(); ++e) {
       cand_min = std::min(cand_min, entity_utilities[e] + bias_[e]);
     }
     return cand_min - bound_score[0] < -tie_tolerance;
@@ -62,7 +55,6 @@ class KarmaObjective final : public FairnessObjective {
   }
 
  private:
-  FairnessObjectiveConfig config_;
   /// Per-entity utility bias (non-positive), frozen at construction from the
   /// snapshot's credit vector — one snapshot, one consistent view.
   std::vector<double> bias_;
@@ -73,10 +65,6 @@ class ProportionalFairnessObjective final : public FairnessObjective {
   explicit ProportionalFairnessObjective(const FairnessObjectiveConfig& config)
       : epsilon_(config.pf_epsilon) {
     MWP_CHECK(epsilon_ > 0.0);
-  }
-
-  FairnessObjectiveKind kind() const override {
-    return FairnessObjectiveKind::kProportionalFairness;
   }
 
   void Score(const std::vector<Utility>& entity_utilities,
@@ -109,20 +97,21 @@ class ProportionalFairnessObjective final : public FairnessObjective {
 
 }  // namespace
 
+double KarmaBias(const FairnessObjectiveConfig& config, double credits) {
+  return -config.karma_weight * std::clamp(credits, 0.0, config.karma_cap) /
+         config.karma_cap;
+}
+
 double FairnessObjective::EntityBias(int /*entity*/) const { return 0.0; }
 
 std::unique_ptr<FairnessObjective> MakeFairnessObjective(
     const FairnessObjectiveConfig& config, const PlacementSnapshot& snapshot) {
-  switch (config.kind) {
-    case FairnessObjectiveKind::kMaxMin:
-      return nullptr;
-    case FairnessObjectiveKind::kKarma:
-      return std::make_unique<KarmaObjective>(config, snapshot);
-    case FairnessObjectiveKind::kProportionalFairness:
-      return std::make_unique<ProportionalFairnessObjective>(config);
+  MWP_CHECK_MSG(ValidFairnessObjectiveId(static_cast<int>(config.kind)),
+                "unknown fairness objective kind");
+  if (config.kind == FairnessObjectiveKind::kProportionalFairness) {
+    return std::make_unique<ProportionalFairnessObjective>(config);
   }
-  MWP_CHECK_MSG(false, "unknown fairness objective kind");
-  return nullptr;
+  return std::make_unique<MaxMinObjective>(config, snapshot);
 }
 
 const char* FairnessObjectiveName(FairnessObjectiveKind kind) {

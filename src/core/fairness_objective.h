@@ -1,17 +1,15 @@
-// Pluggable fairness objectives for placement evaluation (§4.2 extension).
+// Fairness objectives for placement evaluation (§4.2 and its extensions).
 //
-// The paper's controller optimizes one objective: lexicographic max-min over
-// per-entity relative performance. That remains the default — and its code
-// path in PlacementEvaluator is untouched when it is active, so default-mode
-// evaluation stays bit-exact with the pre-refactor evaluator. Alternative
-// objectives plug in behind this interface and reshape three decisions:
+// The paper's controller optimizes lexicographic max-min over per-entity
+// relative performance. That objective and its alternatives all plug in
+// behind this interface, which shapes three decisions:
 //
 //   1. Score(...)        — the vector compared lexicographically (ascending,
 //                          with the evaluator's tie tolerance and the
-//                          fewer-changes tie-break applied unchanged);
-//   2. RejectedByBound() — the early-exit analog of Compare's first losing
-//                          index, so the optimizer's reject-bound machinery
-//                          keeps working under any objective;
+//                          fewer-changes tie-break);
+//   2. RejectedByBound() — the early exit for Compare's first losing index,
+//                          so the optimizer's reject bound works under any
+//                          objective;
 //   3. EntityBias()      — a per-entity additive bias on utility used where
 //                          the optimizer *ranks need* (wish-list order, the
 //                          sharded rebalancer's worst-job pick) rather than
@@ -19,13 +17,16 @@
 //
 // Two implementations ship:
 //
-//   KarmaObjective — temporal fairness via per-tenant credits. A tenant that
-//   received less than its fair share of cluster CPU in past cycles carries
-//   credits (earned by the controller's ledger, see ApcController); credits
-//   lower the tenant's *effective* utility by karma_weight * credits / cap,
-//   so the max-min machinery lifts chronically shortchanged tenants first.
-//   The score is the ascending sort of effective utilities; the reject bound
-//   compares minimum effective utilities — index 0, exactly like max-min.
+//   MaxMinObjective — the paper's objective over biased utilities. The
+//   score is the ascending sort of u + bias; the reject bound compares
+//   minimum biased utilities, the score's index 0. kMaxMin leaves every
+//   bias at zero, so the score is the sorted relative-performance vector
+//   itself. kKarma adds temporal fairness via per-tenant credits: a tenant
+//   that received less than its fair share of cluster CPU in past cycles
+//   carries credits (earned by the controller's ledger, see ApcController),
+//   and KarmaBias turns them into a negative bias, so max-min lifts
+//   chronically shortchanged tenants first. With zero credits Karma decides
+//   exactly like max-min.
 //
 //   ProportionalFairnessObjective — Bonald & Roberts: maximize
 //   Σ_e log(u_e - kUtilityFloor + pf_epsilon). The score is a single
@@ -56,7 +57,7 @@ enum class FairnessObjectiveKind : int {
 
 struct FairnessObjectiveConfig {
   FairnessObjectiveKind kind = FairnessObjectiveKind::kMaxMin;
-  /// Karma: effective utility = u - karma_weight * credits / karma_cap, so
+  /// Karma: effective utility = u + KarmaBias(credits), so
   /// a tenant at the credit cap looks karma_weight worse than its
   /// instantaneous RP. Must exceed the evaluator's tie tolerance to ever
   /// change a decision.
@@ -73,11 +74,14 @@ struct FairnessObjectiveConfig {
   bool operator==(const FairnessObjectiveConfig&) const = default;
 };
 
+/// Karma's utility bias for an entity holding `credits`:
+/// -karma_weight * clamp(credits, 0, karma_cap) / karma_cap. High credits
+/// mean the tenant has been shortchanged, so it looks needier.
+double KarmaBias(const FairnessObjectiveConfig& config, double credits);
+
 class FairnessObjective {
  public:
   virtual ~FairnessObjective() = default;
-
-  virtual FairnessObjectiveKind kind() const = 0;
 
   /// Fill `out` with the placement's score vector. Vectors are compared
   /// lexicographically ascending with the evaluator's tie tolerance; on a
@@ -85,10 +89,10 @@ class FairnessObjective {
   virtual void Score(const std::vector<Utility>& entity_utilities,
                      std::vector<double>& out) const = 0;
 
-  /// True when a candidate with these entity utilities is certain to lose
-  /// against `bound_score` at the first differing index by more than
-  /// `tie_tolerance` — the objective-specific analog of the max-min
-  /// index-0 early exit. Must never reject a candidate Compare would not.
+  /// True when a candidate with these (at least one) entity utilities is
+  /// certain to lose against `bound_score` at the first differing index by
+  /// more than `tie_tolerance`. Must never reject a candidate Compare would
+  /// not.
   virtual bool RejectedByBound(const std::vector<Utility>& entity_utilities,
                                const std::vector<double>& bound_score,
                                double tie_tolerance) const = 0;
@@ -100,9 +104,7 @@ class FairnessObjective {
 };
 
 /// Build the objective for `config` over `snapshot` (Karma reads the
-/// snapshot's fairness credits at construction). Returns nullptr for
-/// kMaxMin: the evaluator treats "no objective" as the default hardwired
-/// max-min path, which keeps that path bit-exact.
+/// snapshot's fairness credits at construction). Never null.
 std::unique_ptr<FairnessObjective> MakeFairnessObjective(
     const FairnessObjectiveConfig& config, const PlacementSnapshot& snapshot);
 

@@ -190,15 +190,20 @@ std::vector<int> PlacementOptimizer::WishList(
     if (u < ceiling - options_.evaluator.tie_tolerance) wishes.push_back(entity);
   }
   // Lowest relative performance first: the neediest application gets the
-  // first shot at freed capacity. A non-default fairness objective shifts
-  // need by its per-entity bias (Karma: credit holders rank needier).
-  const FairnessObjective* objective = evaluator_.objective();
-  std::stable_sort(wishes.begin(), wishes.end(), [&](int a, int b) {
-    const Utility ua = eval.entity_utilities[static_cast<std::size_t>(a)];
-    const Utility ub = eval.entity_utilities[static_cast<std::size_t>(b)];
-    if (objective == nullptr) return ua < ub;
-    return ua + objective->EntityBias(a) < ub + objective->EntityBias(b);
-  });
+  // first shot at freed capacity. The objective's per-entity bias shifts
+  // need (Karma: credit holders rank needier; zero otherwise).
+  const FairnessObjective& objective = evaluator_.objective();
+  std::vector<std::pair<double, int>> ranked;
+  ranked.reserve(wishes.size());
+  for (const int e : wishes) {
+    ranked.emplace_back(
+        eval.entity_utilities[static_cast<std::size_t>(e)] +
+            objective.EntityBias(e),
+        e);
+  }
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < ranked.size(); ++i) wishes[i] = ranked[i].second;
   return wishes;
 }
 
@@ -298,7 +303,7 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
   result.evaluation = evaluator_.Evaluate(result.placement, scratches_[0],
                                           nullptr);
   result.evaluations = 1;
-  result.incumbent_utilities = result.evaluation.sorted_utilities;
+  result.incumbent_utilities = RpVector(result.evaluation.entity_utilities);
 
   // Paper's shortcut: when nobody wants more capacity, the incumbent (with
   // freshly rebalanced CPU) is the answer.

@@ -9,9 +9,9 @@
 // that want capacity, in *lowest relative performance first* order — the
 // paper's fairness-oriented admission policy for batch jobs. Every
 // candidate is scored by the evaluator; a change is committed only when its
-// sorted utility vector is lexicographically better, with "fewer placement
-// changes" breaking ties (this keeps the incumbent in Figure 1's S1 and
-// minimizes churn in Experiment Two). A rebalancing stage additionally
+// score (the sorted utility vector under max-min) is lexicographically
+// better, with "fewer placement changes" breaking ties (this keeps the
+// incumbent in Figure 1's S1 and minimizes churn in Experiment Two). A rebalancing stage additionally
 // offers each node the lowest-performing jobs hosted elsewhere, generating
 // the migrations the paper's mechanism set includes.
 //
@@ -68,9 +68,9 @@ class PlacementOptimizer {
     PlacementEvaluation evaluation;
     int evaluations = 0;  ///< candidates scored, incumbent included
     bool used_shortcut = false;
-    /// Sorted utility vector of the incumbent placement (the very first
-    /// evaluation, before any change was committed) — the "before" series a
-    /// CycleTrace pairs with evaluation.sorted_utilities.
+    /// RpVector of the incumbent placement (the very first evaluation,
+    /// before any change was committed) — the "before" series a CycleTrace
+    /// pairs with the RpVector of the chosen placement.
     std::vector<Utility> incumbent_utilities;
     /// Solve-scoped activity deltas: hypothetical-RPF column cache hits and
     /// misses (the shared evaluation cache) and LoadDistributor calls,

@@ -107,31 +107,27 @@ ShardedPlacementOptimizer::Result ShardedPlacementOptimizer::Optimize() const {
   }
   for (const CellState& state : cells) charge_cell(state);
 
+  // The global evaluator scores the assembled placement (stage 4); its
+  // objective also ranks need in the rebalance.
+  PlacementEvaluator evaluator(snapshot_, options_.cell.evaluator);
+
   // Stage 3: hierarchical max-min rebalance (sequential, deterministic).
-  // Under a non-default fairness objective, need is ranked by biased
-  // utility (u + EntityBias), so e.g. Karma credit holders are picked as
-  // "worst off" earlier and receiver floors account for their own credit
-  // holders — the cross-cell pass consults the same objective the per-cell
-  // solves optimized. The default objective takes the original unbiased
-  // path (bias identically absent).
+  // Need is ranked by biased utility (u + EntityBias), so e.g. Karma credit
+  // holders are picked as "worst off" earlier and receiver floors account
+  // for their own credit holders — the cross-cell pass consults the same
+  // objective the per-cell solves optimized.
   const double tolerance = options_.cell.evaluator.tie_tolerance;
-  const std::unique_ptr<FairnessObjective> objective =
-      MakeFairnessObjective(options_.cell.evaluator.objective, snap);
   if (num_cells > 1 && options_.max_cross_cell_moves > 0) {
+    const FairnessObjective& objective = evaluator.objective();
     std::vector<bool> ineligible(static_cast<std::size_t>(snap.num_jobs()),
                                  false);
     const auto biased = [&](const SnapshotSlice& slice, int le, Utility u) {
-      if (objective == nullptr) return u;
       const int ge = slice.global_entities()[static_cast<std::size_t>(le)];
-      return u + objective->EntityBias(ge);
+      return u + objective.EntityBias(ge);
     };
     const auto min_utility = [&](int c) {
       const CellState& state = cells[static_cast<std::size_t>(c)];
       const auto& utilities = state.result.evaluation.entity_utilities;
-      if (utilities.empty()) return std::numeric_limits<Utility>::infinity();
-      if (objective == nullptr) {
-        return *std::min_element(utilities.begin(), utilities.end());
-      }
       Utility floor = std::numeric_limits<Utility>::infinity();
       for (std::size_t le = 0; le < utilities.size(); ++le) {
         floor = std::min(
@@ -259,11 +255,10 @@ ShardedPlacementOptimizer::Result ShardedPlacementOptimizer::Optimize() const {
   MWP_CHECK_MSG(snap.IsFeasible(assembled),
                 "sharded assembly produced an infeasible placement");
 
-  PlacementEvaluator evaluator(snapshot_, options_.cell.evaluator);
   out.global.placement = std::move(assembled);
   out.global.evaluation = evaluator.Evaluate(out.global.placement);
   out.global.incumbent_utilities =
-      evaluator.Evaluate(snap.current_placement()).sorted_utilities;
+      RpVector(evaluator.Evaluate(snap.current_placement()).entity_utilities);
   out.global.evaluations = total_evaluations + 2;
   out.global.used_shortcut = all_shortcut && out.cross_cell_transfers == 0;
   out.global.cache_hits = total_cache_hits + evaluator.cache_hits();

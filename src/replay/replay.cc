@@ -343,7 +343,8 @@ CycleReplayDiff ReplayCycle(const obs::CycleTrace& trace,
   }
 
   // RP drift and lexicographic verdict against the recorded sorted vector.
-  const std::vector<Utility>& replayed_rp = result.evaluation.sorted_utilities;
+  const std::vector<Utility> replayed_rp =
+      RpVector(result.evaluation.entity_utilities);
   const std::vector<Utility>& recorded_rp = trace.rp_after;
   if (replayed_rp.size() != recorded_rp.size()) {
     diff.shape_mismatch = true;

@@ -71,7 +71,7 @@ struct LoadedSystem {
 std::string Fingerprint(const PlacementOptimizer::Result& r) {
   std::ostringstream os;
   os << r.evaluations << '|' << r.used_shortcut << '|';
-  for (Utility u : r.evaluation.sorted_utilities) os << u << ',';
+  for (Utility u : r.evaluation.score) os << u << ',';
   os << '|' << r.evaluation.changes.size();
   return os.str();
 }
@@ -127,8 +127,8 @@ TEST(ConcurrencyStress, ConcurrentCellSolvesThreadCounts) {
     const ShardedPlacementOptimizer optimizer(&snap, options);
     const ShardedPlacementOptimizer::Result got = optimizer.Optimize();
     EXPECT_EQ(got.global.placement, want.global.placement);
-    EXPECT_EQ(got.global.evaluation.sorted_utilities,
-              want.global.evaluation.sorted_utilities);
+    EXPECT_EQ(got.global.evaluation.score,
+              want.global.evaluation.score);
     EXPECT_EQ(got.cross_cell_transfers, want.cross_cell_transfers);
     EXPECT_EQ(Fingerprint(got.global), Fingerprint(want.global));
   }

@@ -60,7 +60,7 @@ TEST(AnnealingOptimizerTest, ScoreNeverBelowIncumbent) {
       &snap, FastOptions(AnnealingPlacementOptimizer::Objective::kMinUtility));
   PlacementEvaluator evaluator(&snap);
   const double incumbent =
-      evaluator.Evaluate(snap.current_placement()).sorted_utilities.front();
+      evaluator.Evaluate(snap.current_placement()).score.front();
   const auto result = opt.Optimize();
   EXPECT_GE(result.score, incumbent);
 }
@@ -105,8 +105,7 @@ TEST(AnnealingOptimizerTest, SumObjectiveCanStarveTheNeedy) {
   const auto eval_relaxed = evaluator.Evaluate(place_relaxed);
   const auto eval_needy = evaluator.Evaluate(place_needy);
   // Max-min prefers placing the needy job...
-  EXPECT_GT(eval_needy.sorted_utilities.front(),
-            eval_relaxed.sorted_utilities.front());
+  EXPECT_GT(eval_needy.score.front(), eval_relaxed.score.front());
   // ...while the sum objective sees them as comparable (within the decay of
   // one cycle), so it provides no starvation protection.
   EXPECT_NEAR(sum_relaxed, sum_needy, 0.5);

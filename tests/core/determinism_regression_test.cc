@@ -56,7 +56,7 @@ TEST(DeterminismRegression, ColumnCacheColdAndWarmBitExact) {
 std::string Fingerprint(const PlacementOptimizer::Result& r) {
   std::ostringstream os;
   os << r.evaluations << '|';
-  for (Utility u : r.evaluation.sorted_utilities) os << u << ',';
+  for (Utility u : r.evaluation.score) os << u << ',';
   os << '|' << r.evaluation.changes.size();
   return os.str();
 }
@@ -105,8 +105,8 @@ TEST(DeterminismRegression, ShardedDecisionsInvariantAcrossLaneCounts) {
     const ShardedPlacementOptimizer::Result got =
         ShardedPlacementOptimizer(&snap, options).Optimize();
     EXPECT_EQ(got.global.placement, want.global.placement);
-    EXPECT_EQ(got.global.evaluation.sorted_utilities,
-              want.global.evaluation.sorted_utilities);
+    EXPECT_EQ(got.global.evaluation.score,
+              want.global.evaluation.score);
     EXPECT_EQ(Fingerprint(got.global), Fingerprint(want.global));
     // One stopwatch slot per cell regardless of lane count.
     EXPECT_EQ(got.cell_solve_seconds.size(), want.cell_solve_seconds.size());

@@ -22,7 +22,7 @@ constexpr double kTol = 0.02;  // the default tie tolerance
 
 PlacementEvaluation Eval(std::vector<Utility> sorted, std::size_t changes) {
   PlacementEvaluation e;
-  e.sorted_utilities = std::move(sorted);
+  e.score = std::move(sorted);
   e.changes.resize(changes);
   return e;
 }
@@ -132,7 +132,7 @@ TEST_F(CompareTest, BoundRejectionAgreesWithCompare) {
     if (bounded.rejected_by_bound) {
       EXPECT_EQ(eval.Compare(full, incumbent), -1) << "seed " << seed;
     } else {
-      EXPECT_EQ(full.sorted_utilities, bounded.sorted_utilities)
+      EXPECT_EQ(full.score, bounded.score)
           << "seed " << seed;
     }
   }

@@ -106,7 +106,7 @@ void ExpectIdentical(const PlacementOptimizer::Result& got,
   EXPECT_EQ(got.evaluations, want.evaluations) << "seed " << seed;
   EXPECT_EQ(got.used_shortcut, want.used_shortcut) << "seed " << seed;
   // Exact ==: the engines must produce the same doubles, not close ones.
-  EXPECT_EQ(got.evaluation.sorted_utilities, want.evaluation.sorted_utilities)
+  EXPECT_EQ(got.evaluation.score, want.evaluation.score)
       << "seed " << seed;
   EXPECT_EQ(got.evaluation.entity_utilities, want.evaluation.entity_utilities)
       << "seed " << seed;
@@ -160,7 +160,7 @@ TEST(EvaluatorEquivalenceTest, RepeatedEvaluationsReuseCacheExactly) {
   const PlacementMatrix& current = snap.current_placement();
   const PlacementEvaluation first = eval.Evaluate(current);
   const PlacementEvaluation second = eval.Evaluate(current);
-  EXPECT_EQ(first.sorted_utilities, second.sorted_utilities);
+  EXPECT_EQ(first.score, second.score);
   EXPECT_EQ(first.entity_utilities, second.entity_utilities);
   if (snap.num_jobs() > 0) {
     EXPECT_GT(eval.cache_misses(), 0u);

@@ -44,10 +44,10 @@ TEST(PlacementEvaluatorTest, Scenario1PlacementsTieAtPoint7) {
   const auto e1 = eval.Evaluate(f.P1());
   const auto e2 = eval.Evaluate(f.P2());
   // Figure 1 S1: both placements score ≈ (0.7, 0.7).
-  EXPECT_NEAR(e1.sorted_utilities[0], 0.695, 0.02);
-  EXPECT_NEAR(e1.sorted_utilities[1], 0.695, 0.02);
-  EXPECT_NEAR(e2.sorted_utilities[0], 0.6875, 0.02);
-  EXPECT_NEAR(e2.sorted_utilities[1], 0.70, 0.02);
+  EXPECT_NEAR(e1.score[0], 0.695, 0.02);
+  EXPECT_NEAR(e1.score[1], 0.695, 0.02);
+  EXPECT_NEAR(e2.score[0], 0.6875, 0.02);
+  EXPECT_NEAR(e2.score[1], 0.70, 0.02);
   // Tied on utility; P2 wins by fewer changes (it is the incumbent).
   EXPECT_EQ(eval.Compare(e2, e1), 1);
   EXPECT_EQ(e2.changes.size(), 0u);
@@ -61,8 +61,8 @@ TEST(PlacementEvaluatorTest, Scenario2PrefersEqualization) {
   const auto e1 = eval.Evaluate(f.P1());
   const auto e2 = eval.Evaluate(f.P2());
   // Figure 1 S2: P1 ≈ (0.65, 0.65) beats P2 ≈ (0.6, 0.7).
-  EXPECT_NEAR(e1.sorted_utilities[0], 0.655, 0.02);
-  EXPECT_NEAR(e2.sorted_utilities[0], 0.583, 0.02);
+  EXPECT_NEAR(e1.score[0], 0.655, 0.02);
+  EXPECT_NEAR(e2.score[0], 0.583, 0.02);
   EXPECT_EQ(eval.Compare(e1, e2), 1);
 }
 
@@ -207,7 +207,7 @@ TEST(PlacementEvaluatorTest, EmptySnapshotEvaluates) {
   const PlacementSnapshot snap = b.Build();
   PlacementEvaluator eval(&snap);
   const auto e = eval.Evaluate(snap.current_placement());
-  EXPECT_TRUE(e.sorted_utilities.empty());
+  EXPECT_TRUE(e.score.empty());
   EXPECT_DOUBLE_EQ(e.batch_allocation, 0.0);
   EXPECT_TRUE(e.changes.empty());
 }
@@ -217,8 +217,8 @@ TEST(PlacementEvaluatorTest, SortedVectorIsSorted) {
   const PlacementSnapshot snap = f.b.Build();
   PlacementEvaluator eval(&snap);
   const auto e = eval.Evaluate(f.P2());
-  for (std::size_t i = 1; i < e.sorted_utilities.size(); ++i) {
-    EXPECT_LE(e.sorted_utilities[i - 1], e.sorted_utilities[i]);
+  for (std::size_t i = 1; i < e.score.size(); ++i) {
+    EXPECT_LE(e.score[i - 1], e.score[i]);
   }
 }
 

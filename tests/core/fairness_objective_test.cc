@@ -1,14 +1,13 @@
-// Pluggable fairness objectives: unit tests for the objective implementations
-// plus the refactor-safety property tests.
+// Fairness objectives: unit tests for the objective implementations plus
+// decision-level property tests.
 //
-// The load-bearing guarantee is that the default (max-min) objective is the
-// *absence* of an objective: MakeFairnessObjective returns nullptr and the
-// evaluator takes its pre-refactor code path verbatim. The property tests
-// here pin the observable half of that claim — identical results across
-// thread counts and across the sharded/monolithic engines with the objective
-// machinery wired in, and an inert objective_score on the default path. The
-// golden replay gate (replay.golden_tight.*, 1e-9) pins the cross-commit
-// half.
+// Max-min, Karma and PF all take the evaluator's one objective path; max-min
+// is the zero-bias case of the biased max-min objective Karma uses. The
+// property tests here pin that path within one build — identical results
+// across thread counts and across the sharded/monolithic engines, and a
+// max-min score equal to the sorted RP vector. Across commits, the golden
+// replay gate (replay.golden_tight.*, 1e-9) pins max-min and
+// FairnessFingerprintTest pins the decisions of all three objectives.
 
 #include "core/fairness_objective.h"
 
@@ -63,34 +62,40 @@ TEST(FairnessObjectiveTest, NamesAndParseRoundTrip) {
   EXPECT_FALSE(ValidFairnessObjectiveId(3));
 }
 
-TEST(FairnessObjectiveTest, FactoryReturnsNullForDefaultObjective) {
-  SnapshotBuilder b(testing_fixtures::TinyCluster(1));
-  const PlacementSnapshot snap = b.Build();
-  FairnessObjectiveConfig config;
-  // kMaxMin means "no objective object": the evaluator must not even
-  // construct one, or the default path would stop being the original code.
-  EXPECT_EQ(MakeFairnessObjective(config, snap), nullptr);
-
-  config.kind = FairnessObjectiveKind::kKarma;
-  auto karma = MakeFairnessObjective(config, snap);
-  ASSERT_NE(karma, nullptr);
-  EXPECT_EQ(karma->kind(), FairnessObjectiveKind::kKarma);
-
-  config.kind = FairnessObjectiveKind::kProportionalFairness;
-  auto pf = MakeFairnessObjective(config, snap);
-  ASSERT_NE(pf, nullptr);
-  EXPECT_EQ(pf->kind(), FairnessObjectiveKind::kProportionalFairness);
-}
-
-// ---------------------------------------------------------------------------
-// Karma objective semantics.
-
 // Two running jobs on two nodes => two entities.
 PlacementSnapshot TwoEntitySnapshot(SnapshotBuilder& b) {
   b.AddJob(1, 4'000.0, 1'000.0, 750.0, 0.0, 5.0, JobStatus::kRunning, 0);
   b.AddJob(2, 4'000.0, 1'000.0, 750.0, 0.0, 5.0, JobStatus::kRunning, 1);
   return b.Build();
 }
+
+TEST(FairnessObjectiveTest, FactoryBuildsEveryKindAndMaxMinIgnoresCredits) {
+  SnapshotBuilder b(testing_fixtures::TinyCluster(2));
+  PlacementSnapshot snap = TwoEntitySnapshot(b);
+  snap.set_fairness_credits({8.0, 8.0});
+  FairnessObjectiveConfig config;
+  for (const FairnessObjectiveKind kind :
+       {FairnessObjectiveKind::kMaxMin, FairnessObjectiveKind::kKarma,
+        FairnessObjectiveKind::kProportionalFairness}) {
+    config.kind = kind;
+    EXPECT_NE(MakeFairnessObjective(config, snap), nullptr)
+        << FairnessObjectiveName(kind);
+  }
+
+  // Max-min is the zero-bias objective: credits on the snapshot do not
+  // bias it, and its score is the utilities sorted ascending.
+  config.kind = FairnessObjectiveKind::kMaxMin;
+  const auto maxmin = MakeFairnessObjective(config, snap);
+  EXPECT_EQ(maxmin->EntityBias(0), 0.0);
+  EXPECT_EQ(maxmin->EntityBias(1), 0.0);
+  std::vector<double> score;
+  maxmin->Score({0.6, 0.5}, score);
+  EXPECT_EQ(score, (std::vector<double>{0.5, 0.6}));
+  EXPECT_EQ(score, RpVector({0.6, 0.5}));
+}
+
+// ---------------------------------------------------------------------------
+// Karma objective semantics.
 
 TEST(FairnessObjectiveTest, KarmaBiasScalesWithCredits) {
   SnapshotBuilder b(testing_fixtures::TinyCluster(2));
@@ -301,8 +306,7 @@ void ExpectIdentical(const PlacementOptimizer::Result& got,
   EXPECT_EQ(got.placement, want.placement) << "seed " << seed;
   EXPECT_EQ(got.evaluations, want.evaluations) << "seed " << seed;
   EXPECT_EQ(got.used_shortcut, want.used_shortcut) << "seed " << seed;
-  EXPECT_EQ(got.evaluation.sorted_utilities, want.evaluation.sorted_utilities)
-      << "seed " << seed;
+  EXPECT_EQ(got.evaluation.score, want.evaluation.score) << "seed " << seed;
   EXPECT_EQ(got.evaluation.entity_utilities, want.evaluation.entity_utilities)
       << "seed " << seed;
   EXPECT_EQ(got.evaluation.changes, want.evaluation.changes)
@@ -326,11 +330,9 @@ TEST(FairnessDefaultEquivalenceTest, ByteIdenticalAcrossEnginesAndThreads) {
     const PlacementOptimizer reference(&snap, reference_options);
     const PlacementOptimizer::Result want = reference.Optimize();
 
-    // The default path must leave the objective machinery inert: no
-    // objective object, no objective score on the winning evaluation.
-    EXPECT_TRUE(want.evaluation.objective_score.empty()) << "seed " << seed;
-    const PlacementEvaluator default_evaluator(&snap);
-    EXPECT_EQ(default_evaluator.objective(), nullptr) << "seed " << seed;
+    // The default objective scores a placement by its RP vector.
+    EXPECT_EQ(want.evaluation.score, RpVector(want.evaluation.entity_utilities))
+        << "seed " << seed;
 
     for (const int threads : {1, 2, 8}) {
       PlacementOptimizer::Options options;
@@ -339,8 +341,6 @@ TEST(FairnessDefaultEquivalenceTest, ByteIdenticalAcrossEnginesAndThreads) {
       const PlacementOptimizer optimizer(&snap, options);
       const PlacementOptimizer::Result got = optimizer.Optimize();
       ExpectIdentical(got, want, seed);
-      EXPECT_TRUE(got.evaluation.objective_score.empty())
-          << "seed " << seed << " threads " << threads;
     }
 
     // One-cell sharding still reduces to the monolithic solve with the
@@ -355,8 +355,7 @@ TEST(FairnessDefaultEquivalenceTest, ByteIdenticalAcrossEnginesAndThreads) {
     EXPECT_EQ(sharded_result.num_cells, 1) << "seed " << seed;
     EXPECT_EQ(sharded_result.global.placement, want.placement)
         << "seed " << seed;
-    EXPECT_EQ(sharded_result.global.evaluation.sorted_utilities,
-              want.evaluation.sorted_utilities)
+    EXPECT_EQ(sharded_result.global.evaluation.score, want.evaluation.score)
         << "seed " << seed;
     EXPECT_EQ(sharded_result.global.evaluation.distribution.totals,
               want.evaluation.distribution.totals)

@@ -69,8 +69,8 @@ TEST(ShardedOptimizerTest, OneCellBitExactWithMonolithic) {
     ASSERT_EQ(sharded.num_cells, 1) << "trial " << trial;
     EXPECT_EQ(sharded.cross_cell_transfers, 0) << "trial " << trial;
     EXPECT_EQ(sharded.global.placement, mono.placement) << "trial " << trial;
-    EXPECT_EQ(sharded.global.evaluation.sorted_utilities,
-              mono.evaluation.sorted_utilities)
+    EXPECT_EQ(sharded.global.evaluation.score,
+              mono.evaluation.score)
         << "trial " << trial;
     EXPECT_EQ(sharded.global.incumbent_utilities, mono.incumbent_utilities)
         << "trial " << trial;
@@ -107,10 +107,10 @@ TEST(ShardedOptimizerTest, DeterministicAcrossCellThreadCounts) {
         << "threads=" << threads;
     if (threads == 1) {
       first = result.global.placement;
-      first_rp = result.global.evaluation.sorted_utilities;
+      first_rp = result.global.evaluation.score;
     } else {
       EXPECT_EQ(result.global.placement, first) << "threads=" << threads;
-      EXPECT_EQ(result.global.evaluation.sorted_utilities, first_rp)
+      EXPECT_EQ(result.global.evaluation.score, first_rp)
           << "threads=" << threads;
     }
   }
@@ -128,8 +128,8 @@ TEST(ShardedOptimizerTest, PartitionSeedIsDeterministic) {
   const auto a = ShardedPlacementOptimizer(&snap, options).Optimize();
   const auto b2 = ShardedPlacementOptimizer(&snap, options).Optimize();
   EXPECT_EQ(a.global.placement, b2.global.placement);
-  EXPECT_EQ(a.global.evaluation.sorted_utilities,
-            b2.global.evaluation.sorted_utilities);
+  EXPECT_EQ(a.global.evaluation.score,
+            b2.global.evaluation.score);
   EXPECT_TRUE(snap.IsFeasible(a.global.placement));
 }
 
