@@ -11,6 +11,21 @@
 #include "core/snapshot.h"
 
 namespace mwp {
+namespace {
+
+/// The solve a Config asks for: monolithic when shard_cell_size is 0.
+ShardedPlacementOptimizer::Options SolveOptions(
+    const ApcController::Config& config) {
+  ShardedPlacementOptimizer::Options options;
+  options.cell_size = config.shard_cell_size;
+  options.partition_seed = config.shard_partition_seed;
+  options.cell_threads = config.shard_cell_threads;
+  options.max_cross_cell_moves = config.shard_max_cross_cell_moves;
+  options.cell = config.optimizer;
+  return options;
+}
+
+}  // namespace
 
 ApcController::ApcController(const ClusterSpec* cluster, JobQueue* queue,
                              Config config)
@@ -18,6 +33,10 @@ ApcController::ApcController(const ClusterSpec* cluster, JobQueue* queue,
   MWP_CHECK(cluster_ != nullptr);
   MWP_CHECK(queue_ != nullptr);
   MWP_CHECK(config_.control_cycle > 0.0);
+  MWP_CHECK(config_.repair_max_changes >= 0);
+  // Every solve option, checked here once instead of on the first solve —
+  // which may run on a pool thread that cannot report the error.
+  SolveOptions(config_).Validate();
 }
 
 void ApcController::AddTransactionalApp(
@@ -104,13 +123,7 @@ CycleSolution ApcController::SolveCycle(
   // audit: wall-clock-ok(solver stopwatch; feeds solver_seconds metric only)
   const auto wall_start = std::chrono::steady_clock::now();
   if (config_.shard_cell_size > 0) {
-    ShardedPlacementOptimizer::Options shard_options;
-    shard_options.cell_size = config_.shard_cell_size;
-    shard_options.partition_seed = config_.shard_partition_seed;
-    shard_options.cell_threads = config_.shard_cell_threads;
-    shard_options.max_cross_cell_moves = config_.shard_max_cross_cell_moves;
-    shard_options.cell = config_.optimizer;
-    const ShardedPlacementOptimizer sharded(&snapshot, shard_options);
+    const ShardedPlacementOptimizer sharded(&snapshot, SolveOptions(config_));
     ShardedPlacementOptimizer::Result sharded_result = sharded.Optimize();
     solution.result = std::move(sharded_result.global);
     solution.num_cells = sharded_result.num_cells;

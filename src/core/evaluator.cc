@@ -13,6 +13,12 @@ std::vector<Utility> RpVector(std::vector<Utility> entity_utilities) {
   return entity_utilities;
 }
 
+void PlacementEvaluator::Options::Validate() const {
+  MWP_CHECK(tie_tolerance >= 0.0);
+  distributor.Validate();
+  objective.Validate();
+}
+
 PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot)
     : PlacementEvaluator(snapshot, Options{}) {}
 
@@ -22,7 +28,7 @@ PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot,
       options_(std::move(options)),
       distributor_(snapshot, options_.distributor) {
   MWP_CHECK(snapshot_ != nullptr);
-  MWP_CHECK(options_.tie_tolerance >= 0.0);
+  options_.Validate();
   grid_ = options_.grid.empty() ? HypotheticalRpf::DefaultGrid() : options_.grid;
 
   const PlacementSnapshot& snap = *snapshot_;

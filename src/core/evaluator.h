@@ -91,6 +91,10 @@ class PlacementEvaluator {
     /// The fairness objective scoring candidate placements (default: the
     /// paper's lexicographic max-min).
     FairnessObjectiveConfig objective;
+
+    /// Throws std::logic_error (MWP_CHECK) on an out-of-range field,
+    /// including the distributor's and the objective's.
+    void Validate() const;
   };
 
   explicit PlacementEvaluator(const PlacementSnapshot* snapshot);

@@ -14,10 +14,6 @@ class MaxMinObjective final : public FairnessObjective {
   MaxMinObjective(const FairnessObjectiveConfig& config,
                   const PlacementSnapshot& snapshot)
       : bias_(static_cast<std::size_t>(snapshot.num_entities()), 0.0) {
-    if (config.kind == FairnessObjectiveKind::kKarma) {
-      MWP_CHECK(config.karma_cap > 0.0);
-      MWP_CHECK(config.karma_weight >= 0.0);
-    }
     const std::vector<double>& credits = snapshot.fairness_credits();
     if (config.kind != FairnessObjectiveKind::kKarma || credits.empty()) {
       return;
@@ -63,9 +59,7 @@ class MaxMinObjective final : public FairnessObjective {
 class ProportionalFairnessObjective final : public FairnessObjective {
  public:
   explicit ProportionalFairnessObjective(const FairnessObjectiveConfig& config)
-      : epsilon_(config.pf_epsilon) {
-    MWP_CHECK(epsilon_ > 0.0);
-  }
+      : epsilon_(config.pf_epsilon) {}
 
   void Score(const std::vector<Utility>& entity_utilities,
              std::vector<double>& out) const override {
@@ -97,6 +91,17 @@ class ProportionalFairnessObjective final : public FairnessObjective {
 
 }  // namespace
 
+void FairnessObjectiveConfig::Validate() const {
+  MWP_CHECK_MSG(ValidFairnessObjectiveId(static_cast<int>(kind)),
+                "unknown fairness objective kind");
+  if (kind == FairnessObjectiveKind::kKarma) {
+    MWP_CHECK(karma_cap > 0.0);
+    MWP_CHECK(karma_weight >= 0.0);
+  } else if (kind == FairnessObjectiveKind::kProportionalFairness) {
+    MWP_CHECK(pf_epsilon > 0.0);
+  }
+}
+
 double KarmaBias(const FairnessObjectiveConfig& config, double credits) {
   return -config.karma_weight * std::clamp(credits, 0.0, config.karma_cap) /
          config.karma_cap;
@@ -106,8 +111,7 @@ double FairnessObjective::EntityBias(int /*entity*/) const { return 0.0; }
 
 std::unique_ptr<FairnessObjective> MakeFairnessObjective(
     const FairnessObjectiveConfig& config, const PlacementSnapshot& snapshot) {
-  MWP_CHECK_MSG(ValidFairnessObjectiveId(static_cast<int>(config.kind)),
-                "unknown fairness objective kind");
+  config.Validate();
   if (config.kind == FairnessObjectiveKind::kProportionalFairness) {
     return std::make_unique<ProportionalFairnessObjective>(config);
   }

@@ -71,6 +71,10 @@ struct FairnessObjectiveConfig {
   /// log finite for entities sitting exactly on the utility floor.
   double pf_epsilon = 1e-6;
 
+  /// Throws std::logic_error (MWP_CHECK) on an unknown kind or an
+  /// out-of-range parameter of the configured kind.
+  void Validate() const;
+
   bool operator==(const FairnessObjectiveConfig&) const = default;
 };
 
@@ -104,7 +108,8 @@ class FairnessObjective {
 };
 
 /// Build the objective for `config` over `snapshot` (Karma reads the
-/// snapshot's fairness credits at construction). Never null.
+/// snapshot's fairness credits at construction). Never null; validates
+/// `config` first.
 std::unique_ptr<FairnessObjective> MakeFairnessObjective(
     const FairnessObjectiveConfig& config, const PlacementSnapshot& snapshot);
 

@@ -66,6 +66,12 @@ struct LoadDistributor::FillEntity {
   }
 };
 
+void LoadDistributor::Options::Validate() const {
+  MWP_CHECK(level_tolerance > 0.0);
+  MWP_CHECK(probe_delta > 0.0);
+  MWP_CHECK(bisection_iters > 0);
+}
+
 LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot)
     : LoadDistributor(snapshot, Options{}) {}
 
@@ -73,9 +79,7 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
                                  Options options)
     : snapshot_(snapshot), options_(std::move(options)) {
   MWP_CHECK(snapshot_ != nullptr);
-  MWP_CHECK(options_.level_tolerance > 0.0);
-  MWP_CHECK(options_.probe_delta > 0.0);
-  MWP_CHECK(options_.bisection_iters > 0);
+  options_.Validate();
   if (options_.batch_aggregate && snapshot_->num_jobs() > 0) {
     // The aggregate demand curve over every incomplete job, evaluated at the
     // snapshot instant. Start delays reflect the jobs' *current* status; the

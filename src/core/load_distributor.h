@@ -128,6 +128,9 @@ class LoadDistributor {
     /// hypothetical-aggregate entity. false: each placed job bargains
     /// individually (ablation; ignores queued jobs' needs).
     bool batch_aggregate = true;
+
+    /// Throws std::logic_error (MWP_CHECK) on an out-of-range field.
+    void Validate() const;
   };
 
   explicit LoadDistributor(const PlacementSnapshot* snapshot);

@@ -149,6 +149,16 @@ int ResolveLanes(int search_threads) {
 
 }  // namespace
 
+void PlacementOptimizer::Options::Validate() const {
+  MWP_CHECK(max_sweeps >= 1);
+  MWP_CHECK(max_changes_per_node >= 1);
+  MWP_CHECK(max_wishes_tried >= 1);
+  MWP_CHECK(max_migrations_tried >= 0);
+  MWP_CHECK(max_evaluations >= 0);
+  MWP_CHECK(search_threads >= 0);
+  evaluator.Validate();
+}
+
 PlacementOptimizer::PlacementOptimizer(const PlacementSnapshot* snapshot)
     : PlacementOptimizer(snapshot, Options{}) {}
 
@@ -158,11 +168,7 @@ PlacementOptimizer::PlacementOptimizer(const PlacementSnapshot* snapshot,
       options_(std::move(options)),
       evaluator_(snapshot, options_.evaluator) {
   MWP_CHECK(snapshot_ != nullptr);
-  MWP_CHECK(options_.max_sweeps >= 1);
-  MWP_CHECK(options_.max_changes_per_node >= 1);
-  MWP_CHECK(options_.max_wishes_tried >= 1);
-  MWP_CHECK(options_.max_migrations_tried >= 0);
-  MWP_CHECK(options_.search_threads >= 0);
+  options_.Validate();
   lanes_ = ResolveLanes(options_.search_threads);
   scratches_.resize(static_cast<std::size_t>(lanes_));
   if (lanes_ > 1) pool_ = std::make_unique<ThreadPool>(lanes_ - 1);

@@ -61,6 +61,10 @@ class PlacementOptimizer {
     /// 1 = sequential (no pool), n = caller plus n-1 workers. The chosen
     /// placement and the evaluations counter are identical for every value.
     int search_threads = 0;
+
+    /// Throws std::logic_error (MWP_CHECK) on an out-of-range field,
+    /// including the evaluator's.
+    void Validate() const;
   };
 
   struct Result {

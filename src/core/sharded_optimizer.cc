@@ -35,13 +35,19 @@ struct CellState {
 
 }  // namespace
 
+void ShardedPlacementOptimizer::Options::Validate() const {
+  MWP_CHECK(cell_size >= 0);
+  MWP_CHECK(cell_threads >= 0);
+  MWP_CHECK(max_cross_cell_moves >= 0);
+  cell.Validate();
+}
+
 ShardedPlacementOptimizer::ShardedPlacementOptimizer(
     const PlacementSnapshot* snapshot, Options options)
     : snapshot_(snapshot), options_(std::move(options)) {
   MWP_CHECK(snapshot_ != nullptr);
+  options_.Validate();
   MWP_CHECK(options_.cell_size >= 1);
-  MWP_CHECK(options_.cell_threads >= 0);
-  MWP_CHECK(options_.max_cross_cell_moves >= 0);
   const int num_cells =
       (snapshot_->num_nodes() + options_.cell_size - 1) / options_.cell_size;
   lanes_ = ResolveCellLanes(options_.cell_threads, num_cells);

@@ -48,8 +48,9 @@ namespace mwp {
 class ShardedPlacementOptimizer {
  public:
   struct Options {
-    /// Nodes per cell. The partition clamps to the cluster size, so a value
-    /// at or above num_nodes degenerates to one cell (= monolithic).
+    /// Nodes per cell, >= 1 here. The partition clamps to the cluster
+    /// size, so a value at or above num_nodes degenerates to one cell
+    /// (= monolithic). A controller reads 0 as a monolithic solve.
     int cell_size = 32;
     /// Seed for the node shuffle; 0 keeps contiguous node-index cells.
     std::uint64_t partition_seed = 0;
@@ -63,6 +64,10 @@ class ShardedPlacementOptimizer {
     /// each cell — cells are the unit of parallelism here, and nesting
     /// pools would oversubscribe without improving determinism.
     PlacementOptimizer::Options cell;
+
+    /// Throws std::logic_error (MWP_CHECK) on an out-of-range field,
+    /// including the per-cell search options'. Accepts cell_size 0.
+    void Validate() const;
   };
 
   struct Result {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -311,6 +312,41 @@ TEST(ControllerServiceStressTest, ThreadedTickLoopMatchesCycleCount) {
   EXPECT_EQ(service.counters().full_cycles + service.counters().deduped, 5u);
   EXPECT_EQ(controller.cycles().size(),
             static_cast<std::size_t>(service.counters().full_cycles));
+}
+
+// A config error found only inside an async solve would hang Stop(): the
+// solve runs as a TrySubmit task whose exception the pool logs and drops,
+// so the service never sees it finish. The controller therefore rejects
+// such a config (here Karma with karma_cap = 0) when it is built; the same
+// threaded path with a valid Karma config solves, commits and stops.
+TEST(ControllerServiceStressTest, BadKarmaConfigRejectedBeforeAsyncSolve) {
+  ClusterSpec cluster = ClusterSpec::Uniform(
+      2, NodeSpec{/*num_cpus=*/4, /*cpu_speed_mhz=*/3'000.0,
+                  /*memory_mb=*/8'192.0});
+  JobQueue queue;
+  ApcController::Config cfg;
+  cfg.control_cycle = 600.0;
+  cfg.costs = VmCostModel::Free();
+  cfg.optimizer.evaluator.objective.kind = FairnessObjectiveKind::kKarma;
+  cfg.optimizer.evaluator.objective.karma_cap = 0.0;
+  EXPECT_THROW({ ApcController rejected(&cluster, &queue, cfg); },
+               std::logic_error);
+
+  cfg.optimizer.evaluator.objective.karma_cap = 8.0;
+  ApcController controller(&cluster, &queue, cfg);
+  ThreadPool solver_pool(1);
+  ControllerService::Config svc_cfg;
+  svc_cfg.async_full_solve = true;
+  svc_cfg.solver_pool = &solver_pool;
+  ControllerService service(&controller, svc_cfg);
+  service.Start();
+  ControlEvent restore;
+  restore.kind = ControlEventKind::kNodeRestore;
+  restore.node = 0;
+  while (!service.Publish(restore)) std::this_thread::yield();
+  service.Stop();
+  EXPECT_EQ(service.counters().full_cycles, 1u);
+  EXPECT_EQ(controller.cycles().size(), 1u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <vector>
+
 #include "batch/job_factory.h"
 #include "web/workload_generator.h"
 
@@ -472,6 +476,83 @@ TEST(ApcControllerRepairTest, VetoedStartIsRetriedNextCycle) {
   // Work only accrues from the successful second start.
   controller.AdvanceJobsTo(1.5);
   EXPECT_NEAR(job.work_done(), 500.0, 1.0);
+}
+
+// Every field is checked when the controller is built, not on the first
+// solve, which may run on a solver-pool thread that cannot report it.
+TEST(ApcControllerConfigTest, InvalidFieldsThrowAtConstruction) {
+  using Config = ApcController::Config;
+  struct Case {
+    const char* field;
+    std::function<void(Config&)> set;
+  };
+  const std::vector<Case> cases = {
+      {"control_cycle", [](Config& c) { c.control_cycle = 0.0; }},
+      {"repair_max_changes", [](Config& c) { c.repair_max_changes = -1; }},
+      {"shard_cell_size", [](Config& c) { c.shard_cell_size = -1; }},
+      {"shard_cell_threads", [](Config& c) { c.shard_cell_threads = -1; }},
+      {"shard_max_cross_cell_moves",
+       [](Config& c) { c.shard_max_cross_cell_moves = -1; }},
+      {"optimizer.max_sweeps", [](Config& c) { c.optimizer.max_sweeps = 0; }},
+      {"optimizer.max_changes_per_node",
+       [](Config& c) { c.optimizer.max_changes_per_node = 0; }},
+      {"optimizer.max_wishes_tried",
+       [](Config& c) { c.optimizer.max_wishes_tried = 0; }},
+      {"optimizer.max_migrations_tried",
+       [](Config& c) { c.optimizer.max_migrations_tried = -1; }},
+      {"optimizer.max_evaluations",
+       [](Config& c) { c.optimizer.max_evaluations = -1; }},
+      {"optimizer.search_threads",
+       [](Config& c) { c.optimizer.search_threads = -1; }},
+      {"evaluator.tie_tolerance",
+       [](Config& c) { c.optimizer.evaluator.tie_tolerance = -0.01; }},
+      {"distributor.level_tolerance",
+       [](Config& c) { c.optimizer.evaluator.distributor.level_tolerance = 0; }},
+      {"distributor.probe_delta",
+       [](Config& c) { c.optimizer.evaluator.distributor.probe_delta = 0; }},
+      {"distributor.bisection_iters",
+       [](Config& c) { c.optimizer.evaluator.distributor.bisection_iters = 0; }},
+      {"objective.kind",
+       [](Config& c) {
+         c.optimizer.evaluator.objective.kind =
+             static_cast<FairnessObjectiveKind>(7);
+       }},
+      {"objective.karma_cap",
+       [](Config& c) {
+         c.optimizer.evaluator.objective.kind = FairnessObjectiveKind::kKarma;
+         c.optimizer.evaluator.objective.karma_cap = 0.0;
+       }},
+      {"objective.karma_weight",
+       [](Config& c) {
+         c.optimizer.evaluator.objective.kind = FairnessObjectiveKind::kKarma;
+         c.optimizer.evaluator.objective.karma_weight = -0.5;
+       }},
+      {"objective.pf_epsilon",
+       [](Config& c) {
+         c.optimizer.evaluator.objective.kind =
+             FairnessObjectiveKind::kProportionalFairness;
+         c.optimizer.evaluator.objective.pf_epsilon = 0.0;
+       }},
+  };
+  const ClusterSpec cluster = SmallCluster();
+  JobQueue queue;
+  for (const Case& c : cases) {
+    Config cfg;
+    c.set(cfg);
+    EXPECT_THROW({ ApcController controller(&cluster, &queue, cfg); },
+                 std::logic_error)
+        << c.field;
+  }
+}
+
+TEST(ApcControllerConfigTest, UnusedObjectiveParametersAreNotChecked) {
+  // Only the configured objective's parameters must be in range.
+  const ClusterSpec cluster = SmallCluster();
+  JobQueue queue;
+  ApcController::Config cfg;
+  cfg.optimizer.evaluator.objective.karma_cap = 0.0;
+  cfg.optimizer.evaluator.objective.pf_epsilon = 0.0;
+  EXPECT_NO_THROW({ ApcController controller(&cluster, &queue, cfg); });
 }
 
 }  // namespace
