@@ -120,19 +120,14 @@ CycleCapture ApcController::CaptureCycle(Seconds now) {
 CycleSolution ApcController::SolveCycle(
     const PlacementSnapshot& snapshot) const {
   CycleSolution solution;
+  const ShardedPlacementOptimizer::Options options = SolveOptions(config_);
   // audit: wall-clock-ok(solver stopwatch; feeds solver_seconds metric only)
   const auto wall_start = std::chrono::steady_clock::now();
-  if (config_.shard_cell_size > 0) {
-    const ShardedPlacementOptimizer sharded(&snapshot, SolveOptions(config_));
-    ShardedPlacementOptimizer::Result sharded_result = sharded.Optimize();
-    solution.result = std::move(sharded_result.global);
-    solution.num_cells = sharded_result.num_cells;
-    solution.cross_cell_migrations = sharded_result.cross_cell_migrations;
-    solution.cell_solver_seconds = std::move(sharded_result.cell_solve_seconds);
-  } else {
-    const PlacementOptimizer optimizer(&snapshot, config_.optimizer);
-    solution.result = optimizer.Optimize();
-  }
+  ShardedPlacementOptimizer::Result solved = SolvePlacement(snapshot, options);
+  solution.result = std::move(solved.global);
+  solution.num_cells = solved.num_cells;
+  solution.cross_cell_migrations = solved.cross_cell_migrations;
+  solution.cell_solver_seconds = std::move(solved.cell_solve_seconds);
   // audit: wall-clock-ok(solver stopwatch; feeds solver_seconds metric only)
   const auto wall_end = std::chrono::steady_clock::now();
   solution.solver_seconds =

@@ -42,6 +42,17 @@ void ShardedPlacementOptimizer::Options::Validate() const {
   cell.Validate();
 }
 
+ShardedPlacementOptimizer::Result SolvePlacement(
+    const PlacementSnapshot& snapshot,
+    const ShardedPlacementOptimizer::Options& options) {
+  if (options.cell_size > 0) {
+    return ShardedPlacementOptimizer(&snapshot, options).Optimize();
+  }
+  ShardedPlacementOptimizer::Result result;
+  result.global = PlacementOptimizer(&snapshot, options.cell).Optimize();
+  return result;
+}
+
 ShardedPlacementOptimizer::ShardedPlacementOptimizer(
     const PlacementSnapshot* snapshot, Options options)
     : snapshot_(snapshot), options_(std::move(options)) {

@@ -50,7 +50,7 @@ class ShardedPlacementOptimizer {
   struct Options {
     /// Nodes per cell, >= 1 here. The partition clamps to the cluster
     /// size, so a value at or above num_nodes degenerates to one cell
-    /// (= monolithic). A controller reads 0 as a monolithic solve.
+    /// (= monolithic). SolvePlacement reads 0 as a monolithic solve.
     int cell_size = 32;
     /// Seed for the node shuffle; 0 keeps contiguous node-index cells.
     std::uint64_t partition_seed = 0;
@@ -99,5 +99,14 @@ class ShardedPlacementOptimizer {
   Options options_;
   int lanes_ = 1;
 };
+
+/// The one place a cycle's solve picks its engine: options.cell_size > 0
+/// runs ShardedPlacementOptimizer; otherwise a PlacementOptimizer solves
+/// the whole snapshot with options.cell (the result has num_cells 0 and no
+/// cell timings). The controller and the replay harness both solve through
+/// here.
+ShardedPlacementOptimizer::Result SolvePlacement(
+    const PlacementSnapshot& snapshot,
+    const ShardedPlacementOptimizer::Options& options);
 
 }  // namespace mwp

@@ -269,24 +269,18 @@ CycleReplayDiff ReplayCycle(const obs::CycleTrace& trace,
     solver_options.max_sweeps = *options.override_sweeps;
   }
   // Re-solve the way the recording did (sharded when cell_size > 0) unless
-  // an override picks a different decomposition.
-  const int cell_size = options.override_cell_size.value_or(
+  // an override picks a different decomposition; --threads drives the
+  // search lanes of a monolithic solve and the cell lanes of a sharded one.
+  ShardedPlacementOptimizer::Options sharded_options;
+  sharded_options.cell_size = options.override_cell_size.value_or(
       cycle.solver_options().cell_size);
-  PlacementOptimizer::Result result;
-  if (cell_size > 0) {
-    ShardedPlacementOptimizer::Options sharded_options;
-    sharded_options.cell_size = cell_size;
-    sharded_options.partition_seed = cycle.solver_options().partition_seed;
-    sharded_options.max_cross_cell_moves =
-        cycle.solver_options().max_cross_cell_moves;
-    sharded_options.cell_threads = options.search_threads;
-    sharded_options.cell = solver_options;
-    const ShardedPlacementOptimizer sharded(&snapshot, sharded_options);
-    result = std::move(sharded.Optimize().global);
-  } else {
-    const PlacementOptimizer optimizer(&snapshot, solver_options);
-    result = optimizer.Optimize();
-  }
+  sharded_options.partition_seed = cycle.solver_options().partition_seed;
+  sharded_options.max_cross_cell_moves =
+      cycle.solver_options().max_cross_cell_moves;
+  sharded_options.cell_threads = options.search_threads;
+  sharded_options.cell = solver_options;
+  const PlacementOptimizer::Result result =
+      SolvePlacement(snapshot, sharded_options).global;
 
   // Recorded decision as a matrix over the reconstructed snapshot.
   PlacementMatrix recorded(snapshot.num_entities(), snapshot.num_nodes());

@@ -79,6 +79,36 @@ TEST(ShardedOptimizerTest, OneCellBitExactWithMonolithic) {
   }
 }
 
+TEST(ShardedOptimizerTest, SolvePlacementPicksEngineByCellSize) {
+  Rng rng(77);
+  SnapshotBuilder b(TinyCluster(4));
+  FillRandom(b, rng, 4);
+  const PlacementSnapshot snap = b.Build();
+  ShardedPlacementOptimizer::Options options;
+  options.cell_size = 0;
+  options.cell_threads = 1;
+  options.cell.search_threads = 1;
+
+  // cell_size 0: the monolithic solve, reported with no cells.
+  const ShardedPlacementOptimizer::Result mono = SolvePlacement(snap, options);
+  const PlacementOptimizer::Result want =
+      PlacementOptimizer(&snap, options.cell).Optimize();
+  EXPECT_EQ(mono.num_cells, 0);
+  EXPECT_TRUE(mono.cell_solve_seconds.empty());
+  EXPECT_EQ(mono.global.placement, want.placement);
+  EXPECT_EQ(mono.global.evaluations, want.evaluations);
+
+  // cell_size > 0: the sharded solve.
+  options.cell_size = 2;
+  const ShardedPlacementOptimizer::Result sharded =
+      SolvePlacement(snap, options);
+  const ShardedPlacementOptimizer::Result want_sharded =
+      ShardedPlacementOptimizer(&snap, options).Optimize();
+  EXPECT_EQ(sharded.num_cells, 2);
+  EXPECT_EQ(sharded.global.placement, want_sharded.global.placement);
+  EXPECT_EQ(sharded.global.evaluations, want_sharded.global.evaluations);
+}
+
 TEST(ShardedOptimizerTest, DeterministicAcrossCellThreadCounts) {
   SnapshotBuilder b(TinyCluster(12));
   Rng rng(7);
