@@ -733,8 +733,9 @@ int ApcController::QuickDispatchAt(Seconds now, int max_placements) {
             : KarmaBias(config_.optimizer.evaluator.objective, it->second);
     ranked.emplace_back(job->MaxAchievableUtility(now) + bias, job);
   }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::stable_sort(
+      ranked.begin(), ranked.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 0; i < ranked.size(); ++i) waiting[i] = ranked[i].second;
 
   std::vector<Megabytes> free_mem;

@@ -57,10 +57,9 @@ enum class FairnessObjectiveKind : int {
 
 struct FairnessObjectiveConfig {
   FairnessObjectiveKind kind = FairnessObjectiveKind::kMaxMin;
-  /// Karma: effective utility = u + KarmaBias(credits), so
-  /// a tenant at the credit cap looks karma_weight worse than its
-  /// instantaneous RP. Must exceed the evaluator's tie tolerance to ever
-  /// change a decision.
+  /// Karma: effective utility = u + KarmaBias(credits), so a tenant at the
+  /// credit cap looks karma_weight worse than its instantaneous RP. Must
+  /// exceed the evaluator's tie tolerance to ever change a decision.
   double karma_weight = 0.5;
   /// Karma: ledger clamp — credits live in [0, karma_cap].
   double karma_cap = 8.0;

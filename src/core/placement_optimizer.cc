@@ -207,8 +207,9 @@ std::vector<int> PlacementOptimizer::WishList(
             objective.EntityBias(e),
         e);
   }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::stable_sort(
+      ranked.begin(), ranked.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 0; i < ranked.size(); ++i) wishes[i] = ranked[i].second;
   return wishes;
 }

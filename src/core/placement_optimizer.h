@@ -11,9 +11,10 @@
 // candidate is scored by the evaluator; a change is committed only when its
 // score (the sorted utility vector under max-min) is lexicographically
 // better, with "fewer placement changes" breaking ties (this keeps the
-// incumbent in Figure 1's S1 and minimizes churn in Experiment Two). A rebalancing stage additionally
-// offers each node the lowest-performing jobs hosted elsewhere, generating
-// the migrations the paper's mechanism set includes.
+// incumbent in Figure 1's S1 and minimizes churn in Experiment Two). A
+// rebalancing stage additionally offers each node the lowest-performing
+// jobs hosted elsewhere, generating the migrations the paper's mechanism
+// set includes.
 //
 // Changes are committed one at a time against the current best placement,
 // so every candidate is derived from consistent state; when nothing in the

@@ -507,11 +507,15 @@ TEST(ApcControllerConfigTest, InvalidFieldsThrowAtConstruction) {
       {"evaluator.tie_tolerance",
        [](Config& c) { c.optimizer.evaluator.tie_tolerance = -0.01; }},
       {"distributor.level_tolerance",
-       [](Config& c) { c.optimizer.evaluator.distributor.level_tolerance = 0; }},
+       [](Config& c) {
+         c.optimizer.evaluator.distributor.level_tolerance = 0.0;
+       }},
       {"distributor.probe_delta",
-       [](Config& c) { c.optimizer.evaluator.distributor.probe_delta = 0; }},
+       [](Config& c) { c.optimizer.evaluator.distributor.probe_delta = 0.0; }},
       {"distributor.bisection_iters",
-       [](Config& c) { c.optimizer.evaluator.distributor.bisection_iters = 0; }},
+       [](Config& c) {
+         c.optimizer.evaluator.distributor.bisection_iters = 0;
+       }},
       {"objective.kind",
        [](Config& c) {
          c.optimizer.evaluator.objective.kind =
