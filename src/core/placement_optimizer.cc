@@ -199,18 +199,15 @@ std::vector<int> PlacementOptimizer::WishList(
   // first shot at freed capacity. The objective's per-entity bias shifts
   // need (Karma: credit holders rank needier; zero otherwise).
   const FairnessObjective& objective = evaluator_.objective();
-  std::vector<std::pair<double, int>> ranked;
-  ranked.reserve(wishes.size());
+  std::vector<double> need(eval.entity_utilities.size());
   for (const int e : wishes) {
-    ranked.emplace_back(
-        eval.entity_utilities[static_cast<std::size_t>(e)] +
-            objective.EntityBias(e),
-        e);
+    const auto i = static_cast<std::size_t>(e);
+    need[i] = eval.entity_utilities[i] + objective.EntityBias(e);
   }
-  std::stable_sort(
-      ranked.begin(), ranked.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < ranked.size(); ++i) wishes[i] = ranked[i].second;
+  std::stable_sort(wishes.begin(), wishes.end(), [&](int a, int b) {
+    return need[static_cast<std::size_t>(a)] <
+           need[static_cast<std::size_t>(b)];
+  });
   return wishes;
 }
 
