@@ -484,17 +484,20 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
       // Even the floor demands do not fit (possible only when entities were
       // probe-fixed above the floor earlier, or demands at the floor exceed
       // routable capacity): grant each remaining entity its max-flow share
-      // of the floor demands.
+      // of the floor demands. Already-fixed entities are clamped to their
+      // share too: a fixed demand accepted within kFeasibilityTol in an
+      // earlier round may no longer route beside the floor demands, and the
+      // final demand set must be a sub-flow of this one.
       refresh_demands(kUtilityFloor);
       std::vector<std::vector<MHz>>& routing = scratch.routing;
       RouteDemands(entities, demands, scratch, &routing);  // best-effort
       for (std::size_t i = 0; i < entities.size(); ++i) {
         FillEntity& e = entities[i];
-        if (!e.active) continue;
         MHz granted = 0.0;
         for (std::size_t n = 0; n < routing[i].size(); ++n) {
           granted += routing[i][n];
         }
+        if (!e.active && granted >= e.fixed_demand) continue;
         e.fixed_demand = granted;
         e.fixed_utility = e.rpf->UtilityAt(granted);
         e.active = false;

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "tests/core/test_fixtures.h"
@@ -316,6 +322,161 @@ INSTANTIATE_TEST_SUITE_P(
     RandomWorkloads, LoadDistributorPropertyTest,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Values(1, 3, 6, 12)));
+
+// ---------------------------------------------------------------------------
+// Cross-commit pin of Distribute's output bits. Any rewrite of the flow
+// solver that changes an augmenting path, its order or a single floating-
+// point operation changes the fingerprint.
+
+/// 1-30 heterogeneous nodes (some offline, some degraded); jobs running,
+/// paused, suspended and queued; up to five transactional apps whose
+/// instances share nodes with jobs and with each other. The current
+/// placement is feasible.
+SnapshotBuilder RandomDistributorSnapshot(Rng& rng) {
+  const int nodes = static_cast<int>(rng.UniformInt(1, 30));
+  std::vector<NodeSpec> specs;
+  for (int n = 0; n < nodes; ++n) {
+    // Whole-GHz speeds make a node's capacity a round number, the shape
+    // that puts bottlenecked demands on a knife edge.
+    specs.push_back(NodeSpec{static_cast<int>(rng.UniformInt(1, 4)),
+                             1'000.0 * static_cast<double>(rng.UniformInt(1, 4)),
+                             rng.Uniform(2'000.0, 16'000.0)});
+  }
+  SnapshotBuilder b{ClusterSpec(std::move(specs))};
+  b.now = rng.Uniform(0.0, 2'000.0);
+  b.cycle = rng.Uniform(60.0, 600.0);
+  std::vector<Megabytes> free_mem;
+  for (int n = 0; n < nodes; ++n) {
+    const double roll = rng.Uniform01();
+    if (roll < 0.1) {
+      b.cluster.SetNodeOffline(n);
+    } else if (roll < 0.25) {
+      b.cluster.SetNodeDegraded(n, rng.Uniform(0.2, 0.9));
+    }
+    free_mem.push_back(b.cluster.available_memory(n));
+  }
+  auto pick_node = [&](Megabytes need) -> NodeId {
+    const int start = static_cast<int>(rng.UniformInt(0, nodes - 1));
+    for (int k = 0; k < nodes; ++k) {
+      const int n = (start + k) % nodes;
+      if (free_mem[static_cast<std::size_t>(n)] >= need) return n;
+    }
+    return kInvalidNode;
+  };
+
+  const int num_jobs = static_cast<int>(rng.UniformInt(0, 3 * nodes));
+  for (int j = 0; j < num_jobs; ++j) {
+    const MHz max_speed = rng.Uniform(200.0, 4'000.0);
+    const Megacycles work = max_speed * rng.Uniform(100.0, 20'000.0);
+    const Megabytes memory = rng.Uniform(200.0, 4'000.0);
+    const Seconds submit = rng.Uniform(0.0, b.now);
+    const double factor = rng.Uniform(1.1, 6.0);
+    JobStatus status = JobStatus::kNotStarted;
+    NodeId node = kInvalidNode;
+    Megacycles done = 0.0;
+    const double roll = rng.Uniform01();
+    if (roll < 0.55) {
+      node = pick_node(memory);
+      if (node != kInvalidNode) {
+        status = roll < 0.45 ? JobStatus::kRunning : JobStatus::kPaused;
+        done = rng.Uniform(0.0, 0.9 * work);
+        free_mem[static_cast<std::size_t>(node)] -= memory;
+      }
+    } else if (roll < 0.75) {
+      status = JobStatus::kSuspended;
+      done = rng.Uniform(0.0, 0.9 * work);
+    }
+    JobView& v = b.AddJob(j + 1, work, max_speed, memory, submit, factor,
+                          status, node, done);
+    if (node == kInvalidNode) {
+      v.place_overhead = rng.Uniform(0.0, 60.0);
+    } else if (rng.Uniform01() < 0.2) {
+      v.overhead_until = b.now + rng.Uniform(0.0, 60.0);  // still booting
+    }
+    if (rng.Uniform01() < 0.2) v.min_speed = rng.Uniform(0.0, 0.5 * max_speed);
+  }
+
+  const int num_tx = static_cast<int>(rng.UniformInt(0, 5));
+  for (int w = 0; w < num_tx; ++w) {
+    TransactionalAppSpec spec;
+    spec.id = 1'000 + w;
+    spec.name = "tx";
+    spec.memory_per_instance = rng.Uniform(200.0, 1'500.0);
+    spec.response_time_goal = rng.Uniform(0.5, 2.0);
+    spec.demand_per_request = rng.Uniform(5.0, 60.0);
+    spec.min_response_time = 0.05;
+    spec.saturation_allocation = rng.Uniform(400.0, 8'000.0);
+    std::vector<NodeId> on;
+    const int wanted = static_cast<int>(rng.UniformInt(1, 6));
+    for (int k = 0; k < wanted; ++k) {
+      const NodeId n = pick_node(spec.memory_per_instance);
+      if (n == kInvalidNode ||
+          std::find(on.begin(), on.end(), n) != on.end()) {
+        continue;
+      }
+      on.push_back(n);
+      free_mem[static_cast<std::size_t>(n)] -= spec.memory_per_instance;
+    }
+    std::sort(on.begin(), on.end());
+    const double rate = rng.Uniform01() < 0.1 ? 0.0 : rng.Uniform(1.0, 150.0);
+    b.AddTx(spec, rate, std::move(on));
+  }
+  return b;
+}
+
+/// Seeds outside 1-1000 that the corpus carries on purpose: each threw
+/// "final fixed demands must be routable" before the best-effort branch
+/// clamped already-fixed entities to their routed flow.
+constexpr std::uint64_t kKnifeEdgeSeeds[] = {9119, 22480, 22948, 42989, 44522,
+                                            46548};
+
+TEST(LoadDistributorFingerprintTest, CorpusDistributesAsRecorded) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t seed = 1; seed <= 1'000; ++seed) seeds.push_back(seed);
+  seeds.insert(seeds.end(), std::begin(kKnifeEdgeSeeds),
+               std::end(kKnifeEdgeSeeds));
+
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001B3ULL;
+  };
+  auto mix_double = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  for (const std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    const SnapshotBuilder b = RandomDistributorSnapshot(rng);
+    const PlacementSnapshot snap = b.Build();
+    for (const bool aggregate : {true, false}) {
+      LoadDistributor::Options options;
+      options.batch_aggregate = aggregate;
+      const LoadDistributor distributor(&snap, options);
+      DistributorScratch scratch;
+      DistributionResult r;
+      try {
+        r = distributor.Distribute(snap.current_placement(), scratch);
+      } catch (const std::logic_error& e) {
+        ADD_FAILURE() << "seed " << seed << " aggregate=" << aggregate << ": "
+                      << e.what();
+        continue;
+      }
+      for (int n = 0; n < snap.num_nodes(); ++n) {
+        EXPECT_LE(r.loads.NodeLoad(n), snap.NodeAvailableCpu(n) + 1e-6)
+            << "seed " << seed << " aggregate=" << aggregate << " node " << n;
+      }
+      for (int e = 0; e < snap.num_entities(); ++e) {
+        for (int n = 0; n < snap.num_nodes(); ++n) mix_double(r.loads.at(e, n));
+      }
+      for (const MHz total : r.totals) mix_double(total);
+      for (const Utility u : r.utilities) mix_double(u);
+      for (const bool placed : r.placed) mix(placed ? 1 : 0);
+      mix_double(r.batch_level);
+      mix(scratch.stats().flow_probes);
+    }
+  }
+  std::printf("distribution fingerprint over %zu snapshots: 0x%016llx\n",
+              seeds.size(), static_cast<unsigned long long>(h));
+  EXPECT_EQ(h, 0x0de70afdd854d048ULL);
+}
 
 }  // namespace
 }  // namespace mwp
