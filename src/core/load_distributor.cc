@@ -28,6 +28,12 @@ std::uint64_t LevelKey(Utility level) {
   return std::bit_cast<std::uint64_t>(level);
 }
 
+/// Element `i` of a vector indexed by vertex or arc id.
+template <typename Vector>
+auto& At(Vector& v, int i) {
+  return v[static_cast<std::size_t>(i)];
+}
+
 }  // namespace
 
 struct LoadDistributor::FillEntity {
@@ -198,62 +204,80 @@ void LoadDistributor::PrepareFlowNetwork(
   const int num_nodes = snap.num_nodes();
   const int e_count = static_cast<int>(entities.size());
   const int vertices = 2 + e_count + num_nodes;
-  const auto v_count = static_cast<std::size_t>(vertices);
-
+  const int sink = vertices - 1;
+  const auto node_vertex = [e_count](int n) { return 1 + e_count + n; };
   scratch.vertices = vertices;
   scratch.num_fill_entities = e_count;
-  scratch.cap_template.assign(v_count * v_count, 0.0);
-  auto tcap = [&](int from, int to) -> double& {
-    return scratch.cap_template[static_cast<std::size_t>(from) * v_count +
-                                static_cast<std::size_t>(to)];
+
+  // CSR offsets from the vertex degrees (an arc and its reverse count once
+  // at each end).
+  std::vector<int>& begin = scratch.arc_begin;
+  begin.assign(static_cast<std::size_t>(vertices) + 1, 0);
+  const auto count_arc = [&](int u, int v) {
+    ++At(begin, u + 1);
+    ++At(begin, v + 1);
   };
-  const int sink = 1 + e_count + num_nodes;
   for (int i = 0; i < e_count; ++i) {
     const FillEntity& e = entities[static_cast<std::size_t>(i)];
+    count_arc(0, 1 + i);
     for (std::size_t k = 0; k < e.nodes.size(); ++k) {
-      tcap(1 + i, 1 + e_count + e.nodes[k]) += e.edge_caps[k];
+      if (e.edge_caps[k] > 0.0) count_arc(1 + i, node_vertex(e.nodes[k]));
     }
   }
   for (int n = 0; n < num_nodes; ++n) {
-    tcap(1 + e_count + n, sink) += snap.NodeAvailableCpu(n);
+    if (snap.NodeAvailableCpu(n) > 0.0) count_arc(node_vertex(n), sink);
   }
+  for (int v = 0; v < vertices; ++v) At(begin, v + 1) += At(begin, v);
+  const auto arcs = static_cast<std::size_t>(begin.back());
+  scratch.arc_head.resize(arcs);
+  scratch.arc_reverse.resize(arcs);
+  scratch.arc_capacity.resize(arcs);
+  scratch.residual.resize(arcs);
 
-  // Neighbour lists in ascending vertex order so the BFS visits candidates
-  // exactly as the dense row scan it replaces did. An edge (u, v) can carry
-  // residual capacity iff the template has capacity on (u, v) or (v, u), or
-  // it is a source→entity demand edge (set per probe).
-  scratch.adj.assign(v_count, {});
-  auto connected = [&](int u, int v) {
-    if (scratch.cap_template[static_cast<std::size_t>(u) * v_count +
-                             static_cast<std::size_t>(v)] > 0.0 ||
-        scratch.cap_template[static_cast<std::size_t>(v) * v_count +
-                             static_cast<std::size_t>(u)] > 0.0) {
-      return true;
-    }
-    const auto is_entity = [&](int x) { return x >= 1 && x <= e_count; };
-    return (u == 0 && is_entity(v)) || (v == 0 && is_entity(u));
+  // Fill each vertex's block in ascending head order: the BFS visits
+  // neighbours in that order, and the order decides which augmenting path
+  // it picks. Source arcs come first (so every entity block opens with its
+  // arc back to the source), then entity→node arcs by entity (so each node
+  // block lists its entities in order), then node→sink arcs (the sink is
+  // the highest vertex). Entity node lists are ascending.
+  std::vector<int> cursor(begin.begin(), begin.end() - 1);
+  const auto add_arc = [&](int u, int v, double capacity) {
+    const int a = At(cursor, u)++;
+    const int r = At(cursor, v)++;
+    At(scratch.arc_head, a) = v;
+    At(scratch.arc_reverse, a) = r;
+    At(scratch.arc_capacity, a) = capacity;
+    At(scratch.arc_head, r) = u;
+    At(scratch.arc_reverse, r) = a;
+    At(scratch.arc_capacity, r) = 0.0;
+    return a;
   };
-  for (int u = 0; u < vertices; ++u) {
-    for (int v = 0; v < vertices; ++v) {
-      if (u != v && connected(u, v)) {
-        scratch.adj[static_cast<std::size_t>(u)].push_back(v);
+  for (int i = 0; i < e_count; ++i) add_arc(0, 1 + i, 0.0);
+  for (int i = 0; i < e_count; ++i) {
+    const FillEntity& e = entities[static_cast<std::size_t>(i)];
+    for (std::size_t k = 0; k < e.nodes.size(); ++k) {
+      MWP_DCHECK(k == 0 || e.nodes[k - 1] < e.nodes[k]);
+      if (e.edge_caps[k] > 0.0) {
+        add_arc(1 + i, node_vertex(e.nodes[k]), e.edge_caps[k]);
       }
     }
   }
+  scratch.sink_arc.assign(static_cast<std::size_t>(num_nodes), -1);
+  for (int n = 0; n < num_nodes; ++n) {
+    const MHz cpu = snap.NodeAvailableCpu(n);
+    if (cpu > 0.0) At(scratch.sink_arc, n) = add_arc(node_vertex(n), sink, cpu);
+  }
 
-  scratch.cap.resize(v_count * v_count);
-  scratch.parent.resize(v_count);
-  scratch.bfs_queue.reserve(v_count);
+  scratch.parent_arc.resize(static_cast<std::size_t>(vertices));
+  scratch.bfs_queue.reserve(static_cast<std::size_t>(vertices));
 }
 
-bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
-                                   const std::vector<MHz>& demands,
+bool LoadDistributor::RouteDemands(const std::vector<MHz>& demands,
                                    DistributorScratch& scratch,
                                    std::vector<std::vector<MHz>>* routing) const {
-  const PlacementSnapshot& snap = *snapshot_;
-  const int num_nodes = snap.num_nodes();
-  const int e_count = static_cast<int>(entities.size());
-  MWP_DCHECK(scratch.num_fill_entities == e_count &&
+  const int num_nodes = snapshot_->num_nodes();
+  const int e_count = scratch.num_fill_entities;
+  MWP_DCHECK(static_cast<int>(demands.size()) == e_count &&
              scratch.vertices == 2 + e_count + num_nodes);
   ++scratch.stats_.flow_probes;
 
@@ -265,53 +289,68 @@ bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
   }
   if (demand_total <= 0.0) return true;
 
-  const int source = 0;
-  const int sink = 1 + e_count + num_nodes;
-  const auto v_count = static_cast<std::size_t>(scratch.vertices);
-  std::vector<double>& cap = scratch.cap;
-  std::copy(scratch.cap_template.begin(), scratch.cap_template.end(),
-            cap.begin());
+  const std::vector<int>& begin = scratch.arc_begin;
+  const std::vector<int>& head = scratch.arc_head;
+  const std::vector<int>& reverse = scratch.arc_reverse;
+  std::vector<double>& residual = scratch.residual;
+  std::copy(scratch.arc_capacity.begin(), scratch.arc_capacity.end(),
+            residual.begin());
+  for (int i = 0; i < e_count; ++i) At(residual, i) = At(demands, i);
+  const auto augment = [&](int a, double amount) {
+    At(residual, a) -= amount;
+    At(residual, At(reverse, a)) += amount;
+  };
+
+  // Phase 1: direct paths source→entity→node→sink, by entity, then node —
+  // the paths, order, bottlenecks and updates the BFS below would produce
+  // (see the header). Source arc i leads to entity i; an entity's node arcs
+  // follow its arc back to the source.
   for (int i = 0; i < e_count; ++i) {
-    cap[static_cast<std::size_t>(source) * v_count +
-        static_cast<std::size_t>(1 + i)] = demands[static_cast<std::size_t>(i)];
+    for (int a = At(begin, 1 + i) + 1;
+         a < At(begin, 2 + i) && At(residual, i) > kFlowEps; ++a) {
+      const int to_sink = At(scratch.sink_arc, At(head, a) - 1 - e_count);
+      if (At(residual, a) <= kFlowEps || to_sink < 0 ||
+          At(residual, to_sink) <= kFlowEps) {
+        continue;
+      }
+      const double bottleneck = std::min(
+          std::min(At(residual, to_sink), At(residual, a)), At(residual, i));
+      augment(to_sink, bottleneck);
+      augment(a, bottleneck);
+      augment(i, bottleneck);
+    }
   }
 
-  // Edmonds–Karp over the adjacency lists; BFS buffers are reused across
-  // probes and augmentations.
-  std::vector<int>& parent = scratch.parent;
+  // Phase 2: Edmonds–Karp's BFS for the remaining paths, which all reroute
+  // earlier flow through a reverse arc.
+  const int source = 0;
+  const int sink = scratch.vertices - 1;
+  std::vector<int>& parent = scratch.parent_arc;
   std::vector<int>& queue = scratch.bfs_queue;
+  const auto tail = [&](int a) { return At(head, At(reverse, a)); };
   for (;;) {
     std::fill(parent.begin(), parent.end(), -1);
-    parent[static_cast<std::size_t>(source)] = source;
+    At(parent, source) = 0;  // marks the root visited; never followed
     queue.clear();
     queue.push_back(source);
-    for (std::size_t head = 0;
-         head < queue.size() && parent[static_cast<std::size_t>(sink)] < 0;
-         ++head) {
-      const int u = queue[head];
-      for (int v : scratch.adj[static_cast<std::size_t>(u)]) {
-        if (parent[static_cast<std::size_t>(v)] < 0 &&
-            cap[static_cast<std::size_t>(u) * v_count +
-                static_cast<std::size_t>(v)] > kFlowEps) {
-          parent[static_cast<std::size_t>(v)] = u;
+    for (std::size_t q = 0; q < queue.size() && At(parent, sink) < 0; ++q) {
+      const int u = queue[q];
+      for (int a = At(begin, u); a < At(begin, u + 1); ++a) {
+        const int v = At(head, a);
+        if (At(parent, v) < 0 && At(residual, a) > kFlowEps) {
+          At(parent, v) = a;
           queue.push_back(v);
         }
       }
     }
-    if (parent[static_cast<std::size_t>(sink)] < 0) break;
+    if (At(parent, sink) < 0) break;
+    ++scratch.stats_.rerouting_paths;
     double bottleneck = std::numeric_limits<double>::infinity();
-    for (int v = sink; v != source; v = parent[static_cast<std::size_t>(v)]) {
-      const int u = parent[static_cast<std::size_t>(v)];
-      bottleneck = std::min(bottleneck,
-                            cap[static_cast<std::size_t>(u) * v_count +
-                                static_cast<std::size_t>(v)]);
+    for (int v = sink; v != source; v = tail(At(parent, v))) {
+      bottleneck = std::min(bottleneck, At(residual, At(parent, v)));
     }
-    for (int v = sink; v != source; v = parent[static_cast<std::size_t>(v)]) {
-      const int u = parent[static_cast<std::size_t>(v)];
-      cap[static_cast<std::size_t>(u) * v_count + static_cast<std::size_t>(v)] -=
-          bottleneck;
-      cap[static_cast<std::size_t>(v) * v_count + static_cast<std::size_t>(u)] +=
-          bottleneck;
+    for (int v = sink; v != source; v = tail(At(parent, v))) {
+      augment(At(parent, v), bottleneck);
     }
   }
 
@@ -320,22 +359,17 @@ bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
   // grants entities exactly these shares.
   if (routing != nullptr) {
     for (int i = 0; i < e_count; ++i) {
-      const FillEntity& e = entities[static_cast<std::size_t>(i)];
-      for (std::size_t k = 0; k < e.nodes.size(); ++k) {
-        // Flow pushed over the edge: original capacity minus the residual.
-        const double f =
-            e.edge_caps[k] -
-            cap[static_cast<std::size_t>(1 + i) * v_count +
-                static_cast<std::size_t>(1 + e_count + e.nodes[k])];
+      for (int a = At(begin, 1 + i) + 1; a < At(begin, 2 + i); ++a) {
+        // Flow pushed over the arc: its capacity minus the residual.
+        const double f = At(scratch.arc_capacity, a) - At(residual, a);
         if (f > kFlowEps) {
-          (*routing)[static_cast<std::size_t>(i)]
-                    [static_cast<std::size_t>(e.nodes[k])] = f;
+          At(At(*routing, i), At(head, a) - 1 - e_count) = f;
         }
       }
     }
   }
 
-  // Feasibility = every source edge saturated, i.e. the summed source-edge
+  // Feasibility = every source arc saturated, i.e. the summed source-arc
   // residuals stay within tolerance. Summing the residuals — not comparing
   // `pushed` against `demand_total` — keeps the measurement at each
   // entity's own magnitude: the aggregate sums mix magnitudes (a 1287 MHz
@@ -345,10 +379,7 @@ bool LoadDistributor::RouteDemands(const std::vector<FillEntity>& entities,
   // the verdict being monotone in the demands, so it must not depend on the
   // scale of the other entities in the set.
   double shortfall = 0.0;
-  for (int i = 0; i < e_count; ++i) {
-    shortfall += cap[static_cast<std::size_t>(source) * v_count +
-                     static_cast<std::size_t>(1 + i)];
-  }
+  for (int i = 0; i < e_count; ++i) shortfall += At(residual, i);
   return shortfall <= kFeasibilityTol;
 }
 
@@ -465,7 +496,7 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
   };
   auto feasible = [&](Utility level) {
     refresh_demands(level);
-    return RouteDemands(entities, demands, scratch, nullptr);
+    return RouteDemands(demands, scratch, nullptr);
   };
 
   int active_count = 0;
@@ -490,7 +521,7 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
       // final demand set must be a sub-flow of this one.
       refresh_demands(kUtilityFloor);
       std::vector<std::vector<MHz>>& routing = scratch.routing;
-      RouteDemands(entities, demands, scratch, &routing);  // best-effort
+      RouteDemands(demands, scratch, &routing);  // best-effort
       for (std::size_t i = 0; i < entities.size(); ++i) {
         FillEntity& e = entities[i];
         MHz granted = 0.0;
@@ -548,7 +579,7 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
       if (!e.active) continue;
       const MHz saved = demands[i];
       demands[i] = e.DemandAt(level + options_.probe_delta);
-      const bool can_rise = RouteDemands(entities, demands, scratch, nullptr);
+      const bool can_rise = RouteDemands(demands, scratch, nullptr);
       demands[i] = saved;
       if (!can_rise) {
         e.fixed_demand = e.DemandAt(level);
@@ -575,7 +606,7 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
     demands[i] = entities[i].fixed_demand;
   }
   std::vector<std::vector<MHz>>& routing = scratch.routing;
-  const bool routed = RouteDemands(entities, demands, scratch, &routing);
+  const bool routed = RouteDemands(demands, scratch, &routing);
   MWP_CHECK_MSG(routed, "final fixed demands must be routable");
 
   DistributionResult result;

@@ -26,12 +26,31 @@
 // Distribute is called once per candidate placement — hundreds to thousands
 // of times per control cycle — so all per-call state lives in a reusable
 // DistributorScratch: the flow network is built once per Distribute as a
-// capacity template plus adjacency lists (only the source→entity demands
-// change between the ~50 feasibility probes of the bisection), and the batch
-// aggregate's demand curve is memoized across candidates (it depends only on
-// the snapshot, not the placement). All reuse is bit-for-bit neutral: the
-// same max-flow augmenting paths are taken and memoized demands are the
-// exact doubles a fresh computation would produce.
+// sparse residual network (only the source→entity demands change between
+// the ~50 feasibility probes of the bisection), and the batch aggregate's
+// demand curve is memoized across candidates (it depends only on the
+// snapshot, not the placement). All reuse is bit-for-bit neutral: memoized
+// demands are the exact doubles a fresh computation would produce.
+//
+// Each probe is an Edmonds–Karp max-flow over that network, run in two
+// phases that take exactly the augmenting paths, in exactly the order, that
+// the breadth-first search would pick, with the same bottlenecks and the
+// same floating-point updates:
+//
+//   1. every direct source→entity→node→sink path, entity by entity and
+//      node by node in ascending order, without a search. While a direct
+//      path exists the BFS returns the first one in that order: it queues
+//      the entities with unrouted demand, then their nodes grouped by the
+//      first entity reaching each, and stops at the first queued node with
+//      spare capacity. Augmenting a direct path lowers only its own three
+//      arcs and raises only reverse arcs, which no direct path uses, so a
+//      blocked direct path stays blocked and one pass meets the paths in
+//      the BFS's order;
+//   2. the BFS loop itself, for the longer paths that reroute earlier flow
+//      through a reverse arc. Edmonds–Karp's shortest-path length never
+//      shrinks, so no direct path reappears. Longer paths need a node
+//      shared between entities: transactional instances beside batch jobs
+//      or beside each other.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +83,11 @@ struct DistributionResult {
   Utility batch_level = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Reusable buffers for Distribute: flow-network capacities and Edmonds–Karp
-/// working state, plus memo tables valid for the owning distributor's
-/// snapshot. Use one scratch per thread; results are independent of which
-/// scratch is used (memoized values are bit-identical to recomputation).
+/// Reusable buffers for Distribute: the sparse residual network and
+/// Edmonds–Karp working state, plus memo tables valid for the owning
+/// distributor's snapshot. Use one scratch per thread; results are
+/// independent of which scratch is used (memoized values are bit-identical
+/// to recomputation).
 class DistributorScratch {
  public:
   DistributorScratch() = default;
@@ -78,6 +98,9 @@ class DistributorScratch {
   struct Stats {
     std::uint64_t distribute_calls = 0;  ///< Distribute() invocations
     std::uint64_t flow_probes = 0;       ///< max-flow feasibility probes
+    /// Augmenting paths found by BFS, i.e. rerouting earlier flow through
+    /// a reverse arc (direct paths need no search).
+    std::uint64_t rerouting_paths = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -90,15 +113,24 @@ class DistributorScratch {
   /// scratch is handed to a different distributor.
   const void* owner = nullptr;
 
-  // Flow network for the current Distribute call (vertices: source, one per
-  // fill entity, one per node, sink).
+  // Residual network for the current Distribute call. Vertices: source 0,
+  // fill entities 1..E, nodes E+1..E+N, sink E+N+1. An arc exists where a
+  // capacity can: source→entity (the probe's demand), entity→node (instance
+  // cap > 0) and node→sink (available CPU > 0), each paired with a reverse
+  // arc of capacity zero. Arcs are stored CSR, grouped by tail vertex in
+  // ascending head order, so the source's arc to entity i is arc i and each
+  // entity's block opens with its reverse arc to the source. Built in
+  // O(arcs) per Distribute, reset in O(arcs) per probe.
   int vertices = 0;
   int num_fill_entities = 0;
-  std::vector<double> cap_template;    // V×V capacities, source row zero
-  std::vector<double> cap;             // working residual capacities
-  std::vector<std::vector<int>> adj;   // neighbours (ascending) per vertex
-  std::vector<int> parent;             // BFS tree
-  std::vector<int> bfs_queue;          // flat FIFO
+  std::vector<int> arc_begin;        // per vertex, plus an end sentinel
+  std::vector<int> arc_head;         // per arc
+  std::vector<int> arc_reverse;      // per arc: its paired arc
+  std::vector<double> arc_capacity;  // per arc; source arcs zero
+  std::vector<double> residual;      // per arc, working
+  std::vector<int> sink_arc;         // per node: node→sink arc, -1 if none
+  std::vector<int> parent_arc;       // BFS tree: arc into each vertex
+  std::vector<int> bfs_queue;        // flat FIFO
 
   // Per-call demand and routing buffers.
   std::vector<MHz> demands;
@@ -161,16 +193,15 @@ class LoadDistributor {
 
   std::vector<FillEntity> BuildEntities(const PlacementMatrix& p,
                                         DistributorScratch& scratch) const;
-  /// Builds the flow network (capacity template + adjacency) for the
-  /// current entity set into `scratch`; only source edges vary per probe.
+  /// Builds the residual network for the current entity set into
+  /// `scratch`; only source arcs vary per probe.
   void PrepareFlowNetwork(const std::vector<FillEntity>& entities,
                           DistributorScratch& scratch) const;
   /// True when demands (per fill entity, MHz) can be routed within node
   /// capacities and per-instance caps; optionally returns the routing
   /// (fill-entity-major, nodes wide). PrepareFlowNetwork must have run for
-  /// this entity set.
-  bool RouteDemands(const std::vector<FillEntity>& entities,
-                    const std::vector<MHz>& demands,
+  /// the entity set the demands belong to.
+  bool RouteDemands(const std::vector<MHz>& demands,
                     DistributorScratch& scratch,
                     std::vector<std::vector<MHz>>* routing) const;
   /// Equalize local jobs' completion RPFs within one node's batch share.

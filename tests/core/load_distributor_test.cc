@@ -478,5 +478,31 @@ TEST(LoadDistributorFingerprintTest, CorpusDistributesAsRecorded) {
   EXPECT_EQ(h, 0x0de70afdd854d048ULL);
 }
 
+TEST(LoadDistributorFingerprintTest, CorpusExercisesReroutingPaths) {
+  // The max-flow takes direct source→entity→node→sink paths without a
+  // search and runs a BFS only for paths that reroute earlier flow through
+  // a reverse arc. The fingerprint pins both only if the corpus needs both.
+  std::uint64_t probes = 0;
+  std::uint64_t rerouting = 0;
+  for (std::uint64_t seed = 1; seed <= 1'000; ++seed) {
+    Rng rng(seed);
+    const SnapshotBuilder b = RandomDistributorSnapshot(rng);
+    const PlacementSnapshot snap = b.Build();
+    for (const bool aggregate : {true, false}) {
+      LoadDistributor::Options options;
+      options.batch_aggregate = aggregate;
+      DistributorScratch scratch;
+      LoadDistributor(&snap, options).Distribute(snap.current_placement(),
+                                                 scratch);
+      probes += scratch.stats().flow_probes;
+      rerouting += scratch.stats().rerouting_paths;
+    }
+  }
+  std::printf("%llu rerouting paths over %llu flow probes\n",
+              static_cast<unsigned long long>(rerouting),
+              static_cast<unsigned long long>(probes));
+  EXPECT_GT(rerouting, 0u);
+}
+
 }  // namespace
 }  // namespace mwp
