@@ -33,8 +33,10 @@ def main(argv):
         if want is None or name not in ran:
             continue
         compared += 1
-        if ran[name] != want:
-            mismatches.append(f"{name}: evaluations {ran[name]:g}, "
+        got = ran[name]
+        if got != want:
+            shown = "missing" if got is None else f"{got:g}"
+            mismatches.append(f"{name}: evaluations {shown}, "
                               f"recorded {want:g}")
     for line in mismatches:
         print(f"check_evaluations: {line}", file=sys.stderr)
