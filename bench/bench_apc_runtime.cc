@@ -423,6 +423,61 @@ BENCHMARK(BM_EventStorm)
     ->Args({25, 1024})
     ->Unit(benchmark::kMillisecond);
 
+void BM_QuickDispatchHistory(benchmark::State& state) {
+  // Between-cycle dispatch against a long history: 25 paper nodes running
+  // 60 jobs, four waiting jobs too big for any node, and range(0) jobs
+  // that completed earlier. Each iteration times one QuickDispatchAt at a
+  // fixed instant: the jobs do not advance and nothing fits, so every
+  // iteration sees the same state. Its cost should depend on the live jobs
+  // and nodes only, not on how many jobs the queue has ever held.
+  const int completed = static_cast<int>(state.range(0));
+  constexpr int kNodes = 25;
+  constexpr int kRunning = 60;
+  constexpr int kWaiting = 4;
+  constexpr Seconds kNow = 100.0;
+  ClusterSpec cluster = ClusterSpec::Uniform(kNodes, PaperNode());
+  JobQueue queue;
+  ApcController::Config cfg;
+  cfg.costs = VmCostModel::Free();
+  ApcController controller(&cluster, &queue, cfg);
+  IdenticalJobFactory finished_jobs(
+      JobProfile::SingleStage(39'000.0, 3'900.0, 4'320.0),
+      /*relative_goal_factor=*/2.7, /*first_id=*/1'000);
+  for (int j = 0; j < completed; ++j) {
+    Job& job = queue.Submit(finished_jobs.Create(0.0));
+    job.Place(static_cast<NodeId>(j % kNodes), 0.0, 0.0);
+    job.SetAllocation(3'900.0);
+    job.AdvanceTo(0.0, kNow);
+  }
+  IdenticalJobFactory long_jobs(
+      JobProfile::SingleStage(68'640'000.0, 3'900.0, 4'320.0),
+      /*relative_goal_factor=*/2.7, /*first_id=*/100'000);
+  for (int j = 0; j < kRunning; ++j) {
+    Job& job = queue.Submit(long_jobs.Create(0.0));
+    job.Place(static_cast<NodeId>(j % kNodes), 0.0, 0.0);
+    job.SetAllocation(3'900.0);
+  }
+  IdenticalJobFactory oversized_jobs(
+      JobProfile::SingleStage(68'640'000.0, 3'900.0, 20'000.0),
+      /*relative_goal_factor=*/2.7, /*first_id=*/200'000);
+  for (int j = 0; j < kWaiting; ++j) queue.Submit(oversized_jobs.Create(0.0));
+  // The first call advances the running jobs to kNow; it must place nothing.
+  if (controller.QuickDispatchAt(kNow) != 0) {
+    state.SkipWithError("a waiting job fit a node");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(controller.QuickDispatchAt(kNow));
+  }
+  state.counters["history_jobs"] = static_cast<double>(queue.size());
+  state.counters["live_jobs"] = static_cast<double>(queue.Incomplete().size());
+}
+BENCHMARK(BM_QuickDispatchHistory)
+    ->Arg(0)
+    ->Arg(2'000)
+    ->Arg(20'000)
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace mwp
 
