@@ -11,6 +11,7 @@ Job& JobQueue::Submit(std::unique_ptr<Job> job) {
   const auto [it, inserted] = index_.emplace(job->id(), jobs_.size());
   MWP_CHECK_MSG(inserted, "duplicate job id " << job->id());
   jobs_.push_back(std::move(job));
+  live_.push_back(jobs_.back().get());
   return *jobs_.back();
 }
 
@@ -24,13 +25,6 @@ const Job* JobQueue::Find(AppId id) const {
   return it == index_.end() ? nullptr : jobs_[it->second].get();
 }
 
-std::vector<Job*> JobQueue::All() {
-  std::vector<Job*> out;
-  out.reserve(jobs_.size());
-  for (auto& j : jobs_) out.push_back(j.get());
-  return out;
-}
-
 std::vector<const Job*> JobQueue::All() const {
   std::vector<const Job*> out;
   out.reserve(jobs_.size());
@@ -38,31 +32,36 @@ std::vector<const Job*> JobQueue::All() const {
   return out;
 }
 
-std::vector<Job*> JobQueue::Incomplete() {
+template <typename Keep>
+std::vector<Job*> JobQueue::LiveWhere(Keep keep) {
   std::vector<Job*> out;
-  for (auto& j : jobs_) {
-    if (!j->completed()) out.push_back(j.get());
+  auto kept = live_.begin();
+  for (auto it = live_.begin(); it != live_.end(); ++it) {
+    Job* j = *it;
+    if (j->completed()) continue;
+    // Compacting in place: write back only once a completed job has been
+    // dropped, so a pass that drops nothing writes nothing.
+    if (kept != it) *kept = j;
+    ++kept;
+    if (keep(*j)) out.push_back(j);
   }
+  live_.erase(kept, live_.end());
   return out;
+}
+
+std::vector<Job*> JobQueue::Incomplete() {
+  return LiveWhere([](const Job&) { return true; });
 }
 
 std::vector<Job*> JobQueue::Placed() {
-  std::vector<Job*> out;
-  for (auto& j : jobs_) {
-    if (j->placed()) out.push_back(j.get());
-  }
-  return out;
+  return LiveWhere([](const Job& j) { return j.placed(); });
 }
 
 std::vector<Job*> JobQueue::AwaitingPlacement() {
-  std::vector<Job*> out;
-  for (auto& j : jobs_) {
-    if (j->status() == JobStatus::kNotStarted ||
-        j->status() == JobStatus::kSuspended) {
-      out.push_back(j.get());
-    }
-  }
-  return out;
+  return LiveWhere([](const Job& j) {
+    return j.status() == JobStatus::kNotStarted ||
+           j.status() == JobStatus::kSuspended;
+  });
 }
 
 std::vector<const Job*> JobQueue::Completed() const {
@@ -74,9 +73,11 @@ std::vector<const Job*> JobQueue::Completed() const {
 }
 
 std::size_t JobQueue::num_completed() const {
-  return static_cast<std::size_t>(
-      std::count_if(jobs_.begin(), jobs_.end(),
-                    [](const auto& j) { return j->completed(); }));
+  // Every job outside the live list has completed.
+  return jobs_.size() -
+         static_cast<std::size_t>(std::count_if(
+             live_.begin(), live_.end(),
+             [](const Job* j) { return !j->completed(); }));
 }
 
 }  // namespace mwp

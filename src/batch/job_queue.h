@@ -5,6 +5,21 @@
 // and reports completions. This class is that queue: it owns Job objects for
 // their whole lifetime and offers the views the controllers need (incomplete
 // jobs, placed jobs, pending jobs in submission order).
+//
+// Live list. Besides the full history, the queue keeps the jobs it has not
+// yet seen completed, in submission order. Completion is terminal: only
+// Job::AdvanceTo sets it, and Job::Place refuses a completed job. So a job
+// leaves the live list exactly once, in the first view after it completed.
+// Incomplete(), Placed(), AwaitingPlacement() and num_completed() cost
+// O(live jobs), not O(jobs ever submitted), and return exactly what a
+// filter over the whole history would, in the same order. A long-running
+// controller's history grows without bound while its live set stays small.
+// All() and Completed() are the only scans of the whole history; end-of-run
+// reports use them.
+//
+// Threading. The views prune the live list, so they write. A JobQueue is
+// confined to the control thread: the thread that submits jobs, runs the
+// controller's capture/commit and dispatch, and advances the jobs.
 #pragma once
 
 #include <memory>
@@ -33,30 +48,39 @@ class JobQueue {
   Job* Find(AppId id);
   const Job* Find(AppId id) const;
 
-  /// All jobs ever submitted, in submission order.
-  std::vector<Job*> All();
+  /// All jobs ever submitted, in submission order. O(history).
   std::vector<const Job*> All() const;
 
   /// Jobs not yet completed, in submission order — the management entities a
-  /// placement controller reasons about each cycle.
+  /// placement controller reasons about each cycle. O(live).
   std::vector<Job*> Incomplete();
 
-  /// Placed (running or paused) jobs.
+  /// Placed (running or paused) jobs, submission order. O(live).
   std::vector<Job*> Placed();
 
   /// Jobs waiting for placement (not-started or suspended), submission order.
+  /// O(live).
   std::vector<Job*> AwaitingPlacement();
 
-  /// Completed jobs.
+  /// Completed jobs, submission order. O(history).
   std::vector<const Job*> Completed() const;
 
+  /// O(live).
   std::size_t num_completed() const;
 
  private:
+  /// One pass over the live list: drops the jobs that completed since the
+  /// last view and returns the rest that satisfy `keep`.
+  template <typename Keep>
+  std::vector<Job*> LiveWhere(Keep keep);
+
   std::vector<std::unique_ptr<Job>> jobs_;
   /// id → index into jobs_. Jobs are never removed, so the map only grows
   /// in Submit and stays in sync by construction.
   std::unordered_map<AppId, std::size_t> index_;
+  /// Jobs not yet seen completed, in submission order; a superset of the
+  /// incomplete jobs until the next view prunes it.
+  std::vector<Job*> live_;
 };
 
 }  // namespace mwp

@@ -34,9 +34,7 @@ MHz StaticPartition::tx_allocation() const {
 
 MHz StaticPartition::BatchAllocation() const {
   MHz total = 0.0;
-  for (const Job* job : static_cast<const JobQueue&>(*queue_).All()) {
-    if (job->placed()) total += job->allocated_speed();
-  }
+  for (const Job* job : queue_->Placed()) total += job->allocated_speed();
   return total;
 }
 

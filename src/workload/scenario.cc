@@ -107,11 +107,9 @@ std::string Fingerprint(const JobQueue& queue) {
   return fp.str();
 }
 
-MHz BatchAllocation(const JobQueue& queue) {
+MHz BatchAllocation(JobQueue& queue) {
   MHz total = 0.0;
-  for (const Job* job : queue.All()) {
-    if (job->placed()) total += job->allocated_speed();
-  }
+  for (const Job* job : queue.Placed()) total += job->allocated_speed();
   return total;
 }
 
