@@ -8,17 +8,34 @@
 #include "common/log.h"
 
 namespace mwp {
+namespace {
+
+/// `config`, validated: the inbox member is built from it next.
+ControllerService::Config Validated(ControllerService::Config config) {
+  config.Validate();
+  return config;
+}
+
+}  // namespace
+
+void ControllerService::Config::Validate() const {
+  MWP_CHECK_MSG(inbox_capacity > 0 && inbox_capacity <= kMaxInboxCapacity,
+                "inbox_capacity must lie in [1, " << kMaxInboxCapacity
+                                                  << "], got "
+                                                  << inbox_capacity);
+  MWP_CHECK(max_drain_batch > 0);
+  MWP_CHECK(small_batch_events >= 0);
+  MWP_CHECK(max_fault_repairs >= 0);
+  MWP_CHECK(idle_wait_ns >= 0);
+  MWP_CHECK_MSG(!async_full_solve || solver_pool != nullptr,
+                "async_full_solve requires a solver_pool");
+}
 
 ControllerService::ControllerService(ApcController* controller, Config config)
     : controller_(controller),
-      config_(std::move(config)),
+      config_(Validated(std::move(config))),
       inbox_(config_.inbox_capacity) {
   MWP_CHECK(controller_ != nullptr);
-  MWP_CHECK(config_.max_drain_batch > 0);
-  if (config_.async_full_solve) {
-    MWP_CHECK_MSG(config_.solver_pool != nullptr,
-                  "async_full_solve requires a solver_pool");
-  }
 }
 
 ControllerService::~ControllerService() { Stop(); }

@@ -58,22 +58,29 @@ namespace mwp {
 class ControllerService {
  public:
   struct Config {
-    /// Inbox ring capacity (rounded up to a power of two). Producers shed
-    /// beyond this; overflow forces the next decision to be a full cycle.
+    /// Largest accepted inbox_capacity: 2^20 events. The ring is allocated
+    /// up front at about 56 bytes an event, so this caps it near 56 MiB.
+    static constexpr std::size_t kMaxInboxCapacity = std::size_t{1} << 20;
+
+    /// Inbox ring capacity in [1, kMaxInboxCapacity], rounded up to a power
+    /// of two. Producers shed beyond this; overflow forces the next decision
+    /// to be a full cycle.
     std::size_t inbox_capacity = 4096;
-    /// Events drained per decision batch.
+    /// Events drained per decision batch (> 0).
     int max_drain_batch = 256;
     /// Classification: a deduplicated batch of at most this many pure
     /// arrival/completion events is a small perturbation (quick dispatch).
+    /// >= 0; 0 sends every arrival to a full cycle.
     int small_batch_events = 8;
     /// Classification: at most this many distinct faulted nodes per batch
     /// are handled by the bounded-churn repair path; more is large drift.
+    /// >= 0; 0 sends every fault to a full cycle.
     int max_fault_repairs = 4;
     /// Threaded mode: run full solves asynchronously on `solver_pool`
     /// (requires a pool with >= 1 worker). Sim mode ignores this.
     bool async_full_solve = false;
     ThreadPool* solver_pool = nullptr;
-    /// Threaded mode: how long the control thread parks when idle.
+    /// Threaded mode: how long the control thread parks when idle (>= 0).
     std::int64_t idle_wait_ns = 1'000'000;
     /// Threaded mode: applies an event's world mutation on the control
     /// thread before the batch is classified — create and submit the Job
@@ -84,6 +91,10 @@ class ControllerService {
     std::function<void(const ControlEvent&)> apply_event;
     /// Optional metrics sink (svc.* instruments). Non-owning.
     obs::MetricsRegistry* metrics = nullptr;
+
+    /// Throws std::logic_error naming the first field out of range. The
+    /// service's constructor calls it before the inbox is built.
+    void Validate() const;
   };
 
   /// Per-kind decision counters (also exported as svc.decisions.*).

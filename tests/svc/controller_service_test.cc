@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -202,6 +204,49 @@ TEST(ControllerServiceTest, TxLoadShiftWatcherFiresOnlyPastThreshold) {
 
   w.sim.RunUntil(301.0);  // 10 → 20 crosses 25%: one shift, re-anchored
   EXPECT_EQ(w.service->counters().full_cycles, 1u);
+}
+
+TEST(ControllerServiceConfigTest, InvalidFieldsThrowAtConstruction) {
+  using Config = ControllerService::Config;
+  struct Case {
+    const char* field;
+    std::function<void(Config&)> set;
+  };
+  const std::vector<Case> cases = {
+      {"inbox_capacity zero", [](Config& c) { c.inbox_capacity = 0; }},
+      {"inbox_capacity above max",
+       [](Config& c) { c.inbox_capacity = Config::kMaxInboxCapacity + 1; }},
+      // No power of two above 2^63 fits a size_t: the ring size would
+      // never be found.
+      {"inbox_capacity huge",
+       [](Config& c) {
+         c.inbox_capacity = std::numeric_limits<std::size_t>::max();
+       }},
+      {"max_drain_batch", [](Config& c) { c.max_drain_batch = 0; }},
+      {"small_batch_events", [](Config& c) { c.small_batch_events = -1; }},
+      {"max_fault_repairs", [](Config& c) { c.max_fault_repairs = -1; }},
+      {"idle_wait_ns", [](Config& c) { c.idle_wait_ns = -1; }},
+      {"async_full_solve without a pool",
+       [](Config& c) { c.async_full_solve = true; }},
+  };
+  const ClusterSpec cluster = ClusterSpec::Uniform(2, NodeSpec{4, 3'000.0,
+                                                               8'192.0});
+  JobQueue queue;
+  ApcController controller(&cluster, &queue, ApcController::Config{});
+  for (const Case& c : cases) {
+    Config cfg;
+    c.set(cfg);
+    EXPECT_THROW({ ControllerService service(&controller, cfg); },
+                 std::logic_error)
+        << c.field;
+  }
+  // The bounds themselves are valid.
+  Config edges;
+  edges.inbox_capacity = 1;
+  edges.small_batch_events = 0;
+  edges.max_fault_repairs = 0;
+  edges.idle_wait_ns = 0;
+  EXPECT_NO_THROW({ ControllerService service(&controller, edges); });
 }
 
 // The tentpole's equivalence guarantee: an Experiment 1 run driven through
