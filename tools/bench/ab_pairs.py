@@ -40,7 +40,10 @@ def run_perfbench(checkout, workload, seed, seconds):
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
+        cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-2000:])
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
