@@ -2,7 +2,7 @@
 """Alternating parent/change perfbench runs, summarized per end-to-end metric.
 
     python3 tools/bench/ab_pairs.py --parent ../parent --change . \\
-        --workload storm --seed 42 --seconds 24 --pairs 10 [--out runs.json]
+        --workload storm --seed 42 --seconds 24 --pairs 10
     python3 tools/bench/ab_pairs.py --self-test
 
 Runs each checkout's `perfbench/run.py --trace 0` in N pairs, alternating
@@ -18,9 +18,9 @@ medians, and a verdict:
          metric's bound in the parent's BENCHMARK.json;
   -      neither.
 
-It prints every run's correct/failed status and exits 1 if any run was
-incorrect, failed a check or printed no result. It only reads perfbench
-output and BENCHMARK.json; `--out` also writes every run's record as JSON.
+It prints every run's correct/failed status and metrics, and exits 1 if any
+run was incorrect, failed a check or printed no result. It only reads
+perfbench output and BENCHMARK.json.
 """
 import argparse
 import json
@@ -179,7 +179,6 @@ def main(argv):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", help="write every run's record here (JSON)")
     args = parser.parse_args(argv)
     if args.self_test:
         return self_test()
@@ -198,15 +197,13 @@ def main(argv):
             run = run_perfbench(checkouts[side], args.workload, args.seed,
                                 seconds)
             status = "correct" if run["correct"] else "incorrect"
+            values = "".join(f", {name}={value}"
+                             for name, value in run["metrics"].items())
             print(f"pair {i + 1}/{args.pairs} {side}: {status}, "
-                  f"failed={run['failed']}, exit={run['returncode']}",
+                  f"failed={run['failed']}, exit={run['returncode']}{values}",
                   flush=True)
             pair[side] = run
         records.append(pair)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"workload": args.workload, "seed": args.seed,
-                       "seconds": args.seconds, "pairs": records}, f, indent=1)
     print(f"\n{args.workload} seed {args.seed}, --seconds {seconds}, "
           f"{args.pairs} pairs")
     print_rows(summarize(
