@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "batch/job.h"
@@ -41,12 +43,26 @@ bool ValidInputShape(const obs::CycleInputRecord& in,
     AddDetail(diff, "input control_cycle is not positive");
     return false;
   }
+  for (const obs::TraceNodeInput& node : in.nodes) {
+    if (node.state < static_cast<int>(NodeState::kOnline) ||
+        node.state > static_cast<int>(NodeState::kOffline)) {
+      AddDetail(diff, "node state " + std::to_string(node.state) +
+                          " is not a NodeState");
+      return false;
+    }
+  }
   for (const obs::TraceJobInput& job : in.jobs) {
     if (job.stages.empty()) {
       AddDetail(diff, "job " + std::to_string(job.id) + " has no stages");
       return false;
     }
-    if (job.current_node >= num_nodes) {
+    if (job.status < static_cast<int>(JobStatus::kNotStarted) ||
+        job.status > static_cast<int>(JobStatus::kCompleted)) {
+      AddDetail(diff, "job " + std::to_string(job.id) + " status " +
+                          std::to_string(job.status) + " is not a JobStatus");
+      return false;
+    }
+    if (job.current_node < kInvalidNode || job.current_node >= num_nodes) {
       AddDetail(diff, "job " + std::to_string(job.id) +
                           " placed on out-of-range node " +
                           std::to_string(job.current_node));
@@ -258,29 +274,39 @@ CycleReplayDiff ReplayCycle(const obs::CycleTrace& trace,
     return diff;
   }
 
-  ReconstructedCycle cycle(*trace.input);
-  const PlacementSnapshot& snapshot = cycle.snapshot();
-  PlacementOptimizer::Options solver_options =
-      cycle.OptimizerOptions(options.search_threads);
-  if (options.override_tie_tolerance.has_value()) {
-    solver_options.evaluator.tie_tolerance = *options.override_tie_tolerance;
+  // The constructors' and solver's own checks define a valid node, job or
+  // option set; a recorded value that fails one is a shape mismatch.
+  std::optional<ReconstructedCycle> cycle;
+  PlacementOptimizer::Result result;
+  try {
+    cycle.emplace(*trace.input);
+    PlacementOptimizer::Options solver_options =
+        cycle->OptimizerOptions(options.search_threads);
+    if (options.override_tie_tolerance.has_value()) {
+      solver_options.evaluator.tie_tolerance = *options.override_tie_tolerance;
+    }
+    if (options.override_sweeps.has_value()) {
+      solver_options.max_sweeps = *options.override_sweeps;
+    }
+    // Re-solve the way the recording did (sharded when cell_size > 0) unless
+    // an override picks a different decomposition; --threads drives the
+    // search lanes of a monolithic solve and the cell lanes of a sharded one.
+    ShardedPlacementOptimizer::Options sharded_options;
+    sharded_options.cell_size = options.override_cell_size.value_or(
+        cycle->solver_options().cell_size);
+    sharded_options.partition_seed = cycle->solver_options().partition_seed;
+    sharded_options.max_cross_cell_moves =
+        cycle->solver_options().max_cross_cell_moves;
+    sharded_options.cell_threads = options.search_threads;
+    sharded_options.cell = solver_options;
+    result = SolvePlacement(cycle->snapshot(), sharded_options).global;
+  } catch (const std::logic_error& e) {
+    diff.shape_mismatch = true;
+    diff.verdict = Verdict::kWorse;
+    AddDetail(diff, std::string("recorded input rejected: ") + e.what());
+    return diff;
   }
-  if (options.override_sweeps.has_value()) {
-    solver_options.max_sweeps = *options.override_sweeps;
-  }
-  // Re-solve the way the recording did (sharded when cell_size > 0) unless
-  // an override picks a different decomposition; --threads drives the
-  // search lanes of a monolithic solve and the cell lanes of a sharded one.
-  ShardedPlacementOptimizer::Options sharded_options;
-  sharded_options.cell_size = options.override_cell_size.value_or(
-      cycle.solver_options().cell_size);
-  sharded_options.partition_seed = cycle.solver_options().partition_seed;
-  sharded_options.max_cross_cell_moves =
-      cycle.solver_options().max_cross_cell_moves;
-  sharded_options.cell_threads = options.search_threads;
-  sharded_options.cell = solver_options;
-  const PlacementOptimizer::Result result =
-      SolvePlacement(snapshot, sharded_options).global;
+  const PlacementSnapshot& snapshot = cycle->snapshot();
 
   // Recorded decision as a matrix over the reconstructed snapshot.
   PlacementMatrix recorded(snapshot.num_entities(), snapshot.num_nodes());

@@ -159,6 +159,41 @@ TEST(ReplayTest, MalformedDecisionShapeIsRegressionNotCrash) {
   EXPECT_TRUE(cell_diff.Regressed(options));
 }
 
+TEST(ReplayTest, InvalidRecordedValuesAreShapeMismatches) {
+  // Each value parses (the reader checks types, not meaning) but names no
+  // valid node or job: replay must report it, not abort or misreport it.
+  struct Case {
+    const char* what;
+    void (*edit)(obs::CycleInputRecord&);
+  };
+  const Case cases[] = {
+      {"degraded node with a negative speed factor",
+       [](obs::CycleInputRecord& in) {
+         in.nodes[0].state = 1;
+         in.nodes[0].speed_factor = -1.0;
+       }},
+      {"stage with no work",
+       [](obs::CycleInputRecord& in) { in.jobs[0].stages[0].work = 0.0; }},
+      {"node state outside NodeState",
+       [](obs::CycleInputRecord& in) { in.nodes[0].state = 7; }},
+      {"job status outside JobStatus",
+       [](obs::CycleInputRecord& in) { in.jobs[0].status = 9; }},
+  };
+  const ReplayOptions options;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    obs::CycleTrace cycle = FullTrace().cycles[BusyCycleIndex(FullTrace())];
+    ASSERT_FALSE(cycle.input->jobs.empty());
+    c.edit(*cycle.input);
+    const CycleReplayDiff diff = ReplayCycle(cycle, options);
+    EXPECT_TRUE(diff.replayed);
+    EXPECT_TRUE(diff.shape_mismatch);
+    EXPECT_EQ(diff.placement_cell_diffs, 0);
+    EXPECT_TRUE(diff.Regressed(options));
+    ASSERT_FALSE(diff.details.empty());
+  }
+}
+
 TEST(ReplayTest, ReportNamesRegressedCycles) {
   ParsedTrace tampered;
   tampered.schema_version = obs::kTraceSchemaVersion;
