@@ -3,12 +3,16 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <ostream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/log.h"
 #include "obs/build_info.h"
+#include "obs/trace_schema.h"
 
 namespace mwp::obs {
 namespace {
@@ -19,8 +23,8 @@ std::string JsonNumber(double value) {
   return FormatDouble(value);
 }
 
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
+void AppendJsonString(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -40,6 +44,11 @@ std::string JsonString(const std::string& s) {
     }
   }
   out += '"';
+}
+
+std::string JsonString(const std::string& s) {
+  std::string out;
+  AppendJsonString(out, s);
   return out;
 }
 
@@ -54,224 +63,164 @@ std::string JsonArray(const std::vector<T>& values) {
   return out;
 }
 
+/// Shortest round-trip digits of an integer or a double.
 template <typename T>
-std::string JoinedCell(const std::vector<T>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ';';
-    out += FormatDouble(static_cast<double>(values[i]));
-  }
-  return out;
+void AppendChars(std::string& out, T value) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  MWP_CHECK(ec == std::errc());
+  out.append(buf, ptr);
 }
 
-void WriteHeaderRecord(std::ostream& os, const TraceContext& context,
-                       std::size_t num_cycles) {
-  os << "{\"record\":\"header\",\"schema_version\":" << kTraceSchemaVersion
-     << ",\"run_id\":" << JsonString(context.run_id)
-     << ",\"experiment\":" << JsonString(context.experiment)
-     << ",\"seed\":" << context.seed
-     << ",\"control_cycle\":" << JsonNumber(context.control_cycle)
-     << ",\"build_type\":" << JsonString(context.build_type)
-     << ",\"git_sha\":" << JsonString(context.git_sha);
-  if (!context.scenario.empty()) {
-    os << ",\"scenario\":{";
-    for (std::size_t i = 0; i < context.scenario.size(); ++i) {
-      if (i > 0) os << ',';
-      os << JsonString(context.scenario[i].first) << ':'
-         << JsonNumber(context.scenario[i].second);
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsTag =
+    std::is_same_v<std::remove_cvref_t<T>, schema::Tag>;
+
+using Scenario = std::vector<std::pair<std::string, double>>;
+
+template <typename T>
+void AppendJson(std::string& out, const T& value);
+
+/// `"key":` with the separating comma after the object's first member.
+void AppendKey(std::string& out, bool& first, std::string_view key) {
+  if (!first) out += ',';
+  first = false;
+  AppendJsonString(out, key);
+  out += ':';
+}
+
+/// An object (or positional array) holding the fields the writer emits for
+/// `record`, in wire order.
+template <schema::WireRecord R>
+void AppendRecord(std::string& out, const R& record) {
+  bool first = true;
+  if constexpr (schema::kTupleEncoded<R>) {
+    out += '[';
+    schema::ForEachField<R>([&](const auto& field) {
+      if (!first) out += ',';
+      first = false;
+      AppendJson(out, field.Get(record));
+    });
+    out += ']';
+  } else {
+    out += '{';
+    schema::ForEachField<R>([&](const auto& field) {
+      if constexpr (kIsTag<decltype(field)>) {
+        AppendKey(out, first, field.key);
+        AppendJsonString(out, field.value);
+      } else if (field.Written(record)) {
+        AppendKey(out, first, field.key);
+        AppendJson(out, field.Get(record));
+      }
+    });
+    out += '}';
+  }
+}
+
+template <typename T>
+void AppendJson(std::string& out, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += value ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    AppendChars(out, value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (std::isfinite(value)) {
+      AppendChars(out, value);
+    } else {
+      out += "null";
     }
-    os << '}';
-  }
-  os << ",\"num_cycles\":" << num_cycles << "}\n";
-}
-
-/// Serializes the full optimizer input of one cycle (schema v2 "input" key).
-/// Key order is part of the schema: the byte-stability property test
-/// round-trips through src/replay/trace_reader and re-export.
-void WriteInputObject(std::ostream& os, const CycleInputRecord& in) {
-  os << "{\"now\":" << JsonNumber(in.now)
-     << ",\"control_cycle\":" << JsonNumber(in.control_cycle) << ",\"nodes\":[";
-  for (std::size_t i = 0; i < in.nodes.size(); ++i) {
-    const TraceNodeInput& n = in.nodes[i];
-    if (i > 0) os << ',';
-    os << "{\"cpus\":" << n.num_cpus << ",\"speed\":" << JsonNumber(n.cpu_speed)
-       << ",\"memory\":" << JsonNumber(n.memory) << ",\"state\":" << n.state
-       << ",\"speed_factor\":" << JsonNumber(n.speed_factor) << "}";
-  }
-  os << "],\"jobs\":[";
-  for (std::size_t i = 0; i < in.jobs.size(); ++i) {
-    const TraceJobInput& j = in.jobs[i];
-    if (i > 0) os << ',';
-    os << "{\"id\":" << j.id << ",\"submit_time\":" << JsonNumber(j.submit_time)
-       << ",\"desired_start\":" << JsonNumber(j.desired_start)
-       << ",\"completion_goal\":" << JsonNumber(j.completion_goal)
-       << ",\"work_done\":" << JsonNumber(j.work_done)
-       << ",\"status\":" << j.status << ",\"node\":" << j.current_node
-       << ",\"overhead_until\":" << JsonNumber(j.overhead_until)
-       << ",\"place_overhead\":" << JsonNumber(j.place_overhead)
-       << ",\"migrate_overhead\":" << JsonNumber(j.migrate_overhead)
-       << ",\"memory\":" << JsonNumber(j.memory)
-       << ",\"max_speed\":" << JsonNumber(j.max_speed)
-       << ",\"min_speed\":" << JsonNumber(j.min_speed) << ",\"stages\":[";
-    for (std::size_t s = 0; s < j.stages.size(); ++s) {
-      const TraceStageInput& st = j.stages[s];
-      if (s > 0) os << ',';
-      os << "{\"work\":" << JsonNumber(st.work)
-         << ",\"max_speed\":" << JsonNumber(st.max_speed)
-         << ",\"min_speed\":" << JsonNumber(st.min_speed)
-         << ",\"memory\":" << JsonNumber(st.memory) << "}";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    AppendJsonString(out, value);
+  } else if constexpr (schema::WireRecord<T>) {
+    AppendRecord(out, value);
+  } else if constexpr (kIsOptional<T>) {
+    // Only written with its group, whose condition is has_value() of the
+    // group's first member; the other members must agree.
+    MWP_CHECK(value.has_value());
+    AppendJson(out, *value);
+  } else if constexpr (std::is_same_v<T, Scenario>) {
+    bool first = true;
+    out += '{';
+    for (const auto& [name, number] : value) {
+      AppendKey(out, first, name);
+      AppendJson(out, number);
     }
-    os << "]}";
+    out += '}';
+  } else {
+    out += '[';
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) out += ',';
+      AppendJson(out, value[i]);
+    }
+    out += ']';
   }
-  os << "],\"tx\":[";
-  for (std::size_t i = 0; i < in.tx_apps.size(); ++i) {
-    const TraceTxInput& t = in.tx_apps[i];
-    if (i > 0) os << ',';
-    os << "{\"id\":" << t.id << ",\"name\":" << JsonString(t.name)
-       << ",\"memory\":" << JsonNumber(t.memory)
-       << ",\"response_time_goal\":" << JsonNumber(t.response_time_goal)
-       << ",\"demand_per_request\":" << JsonNumber(t.demand_per_request)
-       << ",\"min_response_time\":" << JsonNumber(t.min_response_time)
-       << ",\"saturation\":" << JsonNumber(t.saturation)
-       << ",\"max_instances\":" << t.max_instances
-       << ",\"arrival_rate\":" << JsonNumber(t.arrival_rate)
-       << ",\"nodes\":" << JsonArray(t.current_nodes) << "}";
-  }
-  const TraceSolverOptions& o = in.options;
-  os << "],\"options\":{\"max_sweeps\":" << o.max_sweeps
-     << ",\"max_changes_per_node\":" << o.max_changes_per_node
-     << ",\"max_wishes_tried\":" << o.max_wishes_tried
-     << ",\"max_migrations_tried\":" << o.max_migrations_tried
-     << ",\"max_evaluations\":" << o.max_evaluations
-     << ",\"tie_tolerance\":" << JsonNumber(o.tie_tolerance)
-     << ",\"grid\":" << JsonArray(o.grid)
-     << ",\"level_tolerance\":" << JsonNumber(o.level_tolerance)
-     << ",\"probe_delta\":" << JsonNumber(o.probe_delta)
-     << ",\"bisection_iters\":" << o.bisection_iters
-     << ",\"batch_aggregate\":" << (o.batch_aggregate ? "true" : "false");
-  if (o.cell_size > 0) {
-    // Sharded-run options; omitted for monolithic runs so pre-sharding
-    // traces re-export byte-identically.
-    os << ",\"cell_size\":" << o.cell_size
-       << ",\"partition_seed\":" << o.partition_seed
-       << ",\"max_cross_cell_moves\":" << o.max_cross_cell_moves;
-  }
-  if (o.objective != 0) {
-    // Non-default fairness objective; omitted for max-min runs so
-    // pre-objective traces re-export byte-identically.
-    os << ",\"objective\":" << o.objective
-       << ",\"karma_weight\":" << JsonNumber(o.karma_weight)
-       << ",\"karma_cap\":" << JsonNumber(o.karma_cap)
-       << ",\"karma_earn_rate\":" << JsonNumber(o.karma_earn_rate)
-       << ",\"pf_epsilon\":" << JsonNumber(o.pf_epsilon);
-  }
-  os << "},\"pins\":[";
-  for (std::size_t i = 0; i < in.pins.size(); ++i) {
-    if (i > 0) os << ',';
-    os << "{\"app\":" << in.pins[i].app
-       << ",\"nodes\":" << JsonArray(in.pins[i].nodes) << "}";
-  }
-  os << "],\"separations\":[";
-  for (std::size_t i = 0; i < in.separations.size(); ++i) {
-    if (i > 0) os << ',';
-    os << '[' << in.separations[i].first << ',' << in.separations[i].second
-       << ']';
-  }
-  os << ']';
-  if (!in.fairness_credits.empty()) {
-    // Karma snapshot credits; omitted when empty so pre-objective traces
-    // re-export byte-identically.
-    os << ",\"credits\":" << JsonArray(in.fairness_credits);
-  }
-  os << '}';
 }
 
-/// Serializes the committed decision (schema v2 "decision" key): non-zero
-/// placement cells in row-major order plus per-entity allocation totals.
-void WriteDecisionObject(std::ostream& os, const CycleDecisionRecord& d) {
-  os << "{\"placement\":[";
-  for (std::size_t i = 0; i < d.placement.size(); ++i) {
-    const TracePlacementCell& c = d.placement[i];
-    if (i > 0) os << ',';
-    os << '[' << c.entity << ',' << c.node << ',' << c.count << ']';
+template <typename T>
+concept CsvValue = std::is_arithmetic_v<T> || std::is_same_v<T, std::string> ||
+                   std::is_same_v<T, std::vector<double>>;
+
+/// CSV cell: bools as 1/0, doubles as FormatDouble ("nan"), strings raw,
+/// number arrays ';'-joined.
+template <CsvValue T>
+void AppendCsv(std::string& out, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += value ? '1' : '0';
+  } else if constexpr (std::is_integral_v<T>) {
+    AppendChars(out, value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out += FormatDouble(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out += value;
+  } else {
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) out += ';';
+      AppendCsv(out, value[i]);
+    }
   }
-  os << "],\"allocations\":" << JsonArray(d.allocations) << "}";
 }
 
-void WriteCycleRecord(std::ostream& os, const CycleTrace& t) {
-  os << "{\"record\":\"cycle\""
-     << ",\"run_id\":" << JsonString(t.run_id)
-     << ",\"cycle\":" << t.cycle
-     << ",\"time\":" << JsonNumber(t.time)
-     << ",\"avg_job_rp\":" << JsonNumber(t.avg_job_rp)
-     << ",\"min_job_rp\":" << JsonNumber(t.min_job_rp)
-     << ",\"num_jobs\":" << t.num_jobs
-     << ",\"running_jobs\":" << t.running_jobs
-     << ",\"queued_jobs\":" << t.queued_jobs
-     << ",\"suspended_jobs\":" << t.suspended_jobs
-     << ",\"batch_allocation\":" << JsonNumber(t.batch_allocation)
-     << ",\"tx_allocation\":" << JsonNumber(t.tx_allocation)
-     << ",\"cluster_utilization\":" << JsonNumber(t.cluster_utilization)
-     << ",\"starts\":" << t.starts
-     << ",\"stops\":" << t.stops
-     << ",\"suspends\":" << t.suspends
-     << ",\"resumes\":" << t.resumes
-     << ",\"migrations\":" << t.migrations
-     << ",\"failed_operations\":" << t.failed_operations
-     << ",\"evaluations\":" << t.evaluations
-     << ",\"shortcut\":" << (t.shortcut ? "true" : "false")
-     << ",\"solver_seconds\":" << JsonNumber(t.solver_seconds)
-     << ",\"cache_hits\":" << t.cache_hits
-     << ",\"cache_misses\":" << t.cache_misses
-     << ",\"distribute_calls\":" << t.distribute_calls
-     << ",\"nodes_online\":" << t.node_health.online
-     << ",\"nodes_degraded\":" << t.node_health.degraded
-     << ",\"nodes_offline\":" << t.node_health.offline
-     << ",\"available_cpu\":" << JsonNumber(t.node_health.available_cpu)
-     << ",\"nominal_cpu\":" << JsonNumber(t.node_health.nominal_cpu)
-     << ",\"rp_before\":" << JsonArray(t.rp_before)
-     << ",\"rp_after\":" << JsonArray(t.rp_after)
-     << ",\"tx_utilities\":" << JsonArray(t.tx_utilities)
-     << ",\"tx_allocations\":" << JsonArray(t.tx_allocations);
-  if (t.num_cells > 0) {
-    // Sharded-cycle fields; omitted for monolithic cycles so pre-sharding
-    // traces re-export byte-identically.
-    os << ",\"num_cells\":" << t.num_cells
-       << ",\"cross_cell_migrations\":" << t.cross_cell_migrations
-       << ",\"cell_solver_seconds\":" << JsonArray(t.cell_solver_seconds);
-  }
-  if (!t.trigger.empty()) {
-    // Event-driven cycle tag; omitted for periodic cycles so pre-service
-    // traces re-export byte-identically.
-    os << ",\"trigger\":" << JsonString(t.trigger);
-  }
-  MWP_CHECK(t.input.has_value() == t.decision.has_value());
-  if (t.input.has_value()) {
-    os << ",\"input\":";
-    WriteInputObject(os, *t.input);
-    os << ",\"decision\":";
-    WriteDecisionObject(os, *t.decision);
-  }
-  os << "}\n";
+/// Calls `fn(field)` for each field of R that the CSV form carries.
+template <schema::WireRecord R, typename Fn>
+void ForEachCsvField(Fn&& fn) {
+  schema::ForEachField<R>([&](const auto& field) {
+    if constexpr (!kIsTag<decltype(field)>) {
+      using Member = typename std::remove_cvref_t<decltype(field)>::Member;
+      if constexpr (CsvValue<Member>) {
+        if (field.in_csv) fn(field);
+      }
+    }
+  });
 }
 
-constexpr const char* kCsvColumns =
-    "run_id,cycle,time,avg_job_rp,min_job_rp,num_jobs,running_jobs,queued_jobs,"
-    "suspended_jobs,batch_allocation,tx_allocation,cluster_utilization,"
-    "starts,stops,suspends,resumes,migrations,failed_operations,evaluations,"
-    "shortcut,solver_seconds,cache_hits,cache_misses,distribute_calls,"
-    "nodes_online,nodes_degraded,nodes_offline,available_cpu,nominal_cpu,"
-    "rp_before,rp_after,tx_utilities,tx_allocations";
+/// Every field the CSV form should carry has a CSV cell encoding.
+template <schema::WireRecord R>
+consteval bool CsvCoversAlwaysWrittenFields() {
+  bool covered = true;
+  schema::ForEachField<R>([&](const auto& field) {
+    if constexpr (!kIsTag<decltype(field)>) {
+      using Member = typename std::remove_cvref_t<decltype(field)>::Member;
+      if (field.in_csv && !CsvValue<Member>) covered = false;
+    }
+  });
+  return covered;
+}
+static_assert(CsvCoversAlwaysWrittenFields<schema::TraceHeader>());
+static_assert(CsvCoversAlwaysWrittenFields<CycleTrace>());
 
 }  // namespace
 
 std::string FormatDouble(double value) {
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  MWP_CHECK(ec == std::errc());
-  return std::string(buf, ptr);
+  std::string out;
+  AppendChars(out, value);
+  return out;
 }
 
 TraceContext MakeTraceContext(std::string experiment, std::uint64_t seed,
@@ -288,37 +237,50 @@ TraceContext MakeTraceContext(std::string experiment, std::uint64_t seed,
 
 void WriteTraceJsonl(std::ostream& os, const TraceContext& context,
                      std::span<const CycleTrace> traces) {
-  WriteHeaderRecord(os, context, traces.size());
-  for (const CycleTrace& t : traces) WriteCycleRecord(os, t);
+  const schema::TraceHeader header{kTraceSchemaVersion, context,
+                                   traces.size()};
+  std::string line;
+  AppendRecord(line, header);
+  line += '\n';
+  os << line;
+  for (const CycleTrace& t : traces) {
+    line.clear();
+    AppendRecord(line, t);
+    line += '\n';
+    os << line;
+  }
 }
 
 void WriteTraceCsv(std::ostream& os, const TraceContext& context,
                    std::span<const CycleTrace> traces) {
-  os << "# mwp-cycle-trace schema_version=" << kTraceSchemaVersion
-     << " run_id=" << context.run_id
-     << " experiment=" << context.experiment << " seed=" << context.seed
-     << " control_cycle=" << FormatDouble(context.control_cycle)
-     << " build_type=" << context.build_type
-     << " git_sha=" << context.git_sha << "\n"
-     << kCsvColumns << "\n";
+  const schema::TraceHeader header{kTraceSchemaVersion, context,
+                                   traces.size()};
+  std::string line(schema::kCsvMagic);
+  ForEachCsvField<schema::TraceHeader>([&](const auto& field) {
+    line += ' ';
+    line += field.key;
+    line += '=';
+    AppendCsv(line, field.Get(header));
+  });
+  line += '\n';
+  bool first = true;
+  ForEachCsvField<CycleTrace>([&](const auto& field) {
+    if (!first) line += ',';
+    first = false;
+    line += field.key;
+  });
+  line += '\n';
+  os << line;
   for (const CycleTrace& t : traces) {
-    os << t.run_id << ',' << t.cycle << ',' << FormatDouble(t.time) << ','
-       << FormatDouble(t.avg_job_rp) << ',' << FormatDouble(t.min_job_rp)
-       << ',' << t.num_jobs << ',' << t.running_jobs << ',' << t.queued_jobs
-       << ',' << t.suspended_jobs << ',' << FormatDouble(t.batch_allocation)
-       << ',' << FormatDouble(t.tx_allocation) << ','
-       << FormatDouble(t.cluster_utilization) << ',' << t.starts << ','
-       << t.stops << ',' << t.suspends << ',' << t.resumes << ','
-       << t.migrations << ',' << t.failed_operations << ',' << t.evaluations
-       << ',' << (t.shortcut ? 1 : 0) << ',' << FormatDouble(t.solver_seconds)
-       << ',' << t.cache_hits << ',' << t.cache_misses << ','
-       << t.distribute_calls << ',' << t.node_health.online << ','
-       << t.node_health.degraded << ',' << t.node_health.offline << ','
-       << FormatDouble(t.node_health.available_cpu) << ','
-       << FormatDouble(t.node_health.nominal_cpu) << ','
-       << JoinedCell(t.rp_before) << ',' << JoinedCell(t.rp_after) << ','
-       << JoinedCell(t.tx_utilities) << ',' << JoinedCell(t.tx_allocations)
-       << "\n";
+    line.clear();
+    first = true;
+    ForEachCsvField<CycleTrace>([&](const auto& field) {
+      if (!first) line += ',';
+      first = false;
+      AppendCsv(line, field.Get(t));
+    });
+    line += '\n';
+    os << line;
   }
 }
 

@@ -1,32 +1,37 @@
 // Versioned exporters for CycleTrace runs: JSON-lines and CSV.
 //
+// Every key, its order, JSON type, version gate and optional group are
+// defined once, in the field lists of obs/trace_schema.h. The writers below
+// and the reader (src/replay/trace_reader.h) walk those lists.
+//
 // Schema v2 (kTraceSchemaVersion):
 //   - JSONL: line 1 is a header record
 //       {"record":"header","schema_version":2,"run_id":...,"experiment":...,
 //        "seed":...,"control_cycle":...,"build_type":...,"git_sha":...,
 //        "num_cycles":...}
 //     followed by one {"record":"cycle","run_id":...,...} object per control
-//     cycle with a fixed key order (see trace_export.cc). NaN (e.g.
+//     cycle with a fixed key order. NaN (e.g.
 //     avg_job_rp with no jobs) is emitted as JSON null. Cycles recorded
 //     under full tracing additionally carry "input" (the complete optimizer
 //     input: nodes, jobs, tx apps, solver options, constraints) and
 //     "decision" (the committed placement + allocations) objects — the
 //     payload the replay harness (src/replay) re-runs the solver on.
 //   - CSV: line 1 is a '#'-prefixed header carrying the same context,
-//     line 2 the column names, then one row per cycle; vector-valued fields
-//     (rp_before, rp_after, tx_*) are ';'-joined within their cell and NaN
-//     is spelled "nan". CSV never carries input/decision — replay requires
-//     the JSONL form.
+//     line 2 the column names, then one row per cycle. The columns are the
+//     cycle record's always-written fields; vector-valued fields (rp_before,
+//     rp_after, tx_*) are ';'-joined within their cell and NaN is spelled
+//     "nan". CSV never carries the optional groups, so no input/decision —
+//     replay requires the JSONL form.
 //
-// v1 differs only in lacking run_id and input/decision; readers
-// (src/replay/trace_reader and tools/trace/validate_trace.py) accept both.
+// v1 differs only in lacking run_id and input/decision; the reader accepts
+// both through the same field lists.
 //
 // Doubles are serialized with std::to_chars shortest round-trip formatting,
 // so re-parsing an export reproduces the recorded values bit-for-bit and
 // golden files are stable across hosts. Any field addition, removal or
-// reorder MUST bump kTraceSchemaVersion; the golden-file tests exist to make
-// an unversioned change fail loudly. tools/trace/validate_trace.py checks
-// emitted JSONL against this schema in CI.
+// reorder MUST bump kTraceSchemaVersion; the golden-file tests and the wire
+// fingerprint test exist to make an unversioned change fail loudly. CI
+// checks emitted JSONL against this schema with `replay_apc --validate`.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 //              [--threads N] [--report FILE] [--verbose] [--quiet]
 //              [--override-tie-tolerance EPS] [--override-sweeps N]
 //              [--override-cell-size N]
+//   replay_apc --trace TRACE.jsonl --validate [--min-cycles N]
 //
 // Reads a CycleTrace JSONL export (schema v2 recorded with --trace-full),
 // reconstructs every cycle's optimizer input, re-runs the placement solver
@@ -20,11 +21,18 @@
 //
 // --report writes the same diff report to a file (for CI artifacts).
 //
+// --validate checks the trace without replaying it: the strict parse (every
+// record carries exactly the keys the exporter writes, with their JSON
+// types) plus ValidateTrace's cross-record rules, and at least N cycles
+// (--min-cycles, default 1). It prints one OK or INVALID line and exits 0
+// or 1. It accepts traces recorded without --trace-full.
+//
 // The --override-* flags re-run the recorded cycles under a different solver
 // configuration (tie tolerance, sweep budget, sharding cell size) for
 // offline tuning on production traces. Overridden replays are what-if
 // experiments: divergence from the recorded decisions is reported per cycle
 // but never fails the exit status.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -41,8 +49,24 @@ int Usage(const char* argv0) {
             << " --trace TRACE.jsonl [--diff] [--tolerance EPS]"
                " [--threads N] [--report FILE] [--verbose] [--quiet]"
                " [--override-tie-tolerance EPS] [--override-sweeps N]"
-               " [--override-cell-size N]\n";
+               " [--override-cell-size N]\n"
+            << "       " << argv0
+            << " --trace TRACE.jsonl --validate [--min-cycles N]\n";
   return 2;
+}
+
+/// Strict parse plus ValidateTrace, without replaying.
+int Validate(const std::string& path, int min_cycles) {
+  std::string error;
+  const auto trace = mwp::replay::ParseTraceFile(path, &error);
+  if (!trace.has_value() ||
+      !mwp::replay::ValidateTrace(*trace, min_cycles, &error)) {
+    std::cerr << path << ": INVALID: " << error << "\n";
+    return 1;
+  }
+  std::cout << path << ": OK (" << trace->cycles.size()
+            << " cycle records, schema v" << trace->schema_version << ")\n";
+  return 0;
 }
 
 }  // namespace
@@ -53,6 +77,8 @@ int main(int argc, char** argv) {
   mwp::replay::ReplayOptions options;
   bool verbose = false;
   bool quiet = false;
+  bool validate = false;
+  int min_cycles = -1;  // unset
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -91,6 +117,16 @@ int main(int argc, char** argv) {
       const char* v = next("--override-cell-size");
       if (v == nullptr) return Usage(argv[0]);
       options.override_cell_size = std::atoi(v);
+    } else if (arg == "--min-cycles") {
+      const char* v = next("--min-cycles");
+      if (v == nullptr) return Usage(argv[0]);
+      min_cycles = std::atoi(v);
+      if (min_cycles < 0) {
+        std::cerr << "--min-cycles must not be negative\n";
+        return Usage(argv[0]);
+      }
+    } else if (arg == "--validate") {
+      validate = true;
     } else if (arg == "--diff") {
       // Diffing is the tool's only mode; accepted for CLI-contract clarity.
     } else if (arg == "--verbose") {
@@ -109,6 +145,11 @@ int main(int argc, char** argv) {
     std::cerr << "--trace is required\n";
     return Usage(argv[0]);
   }
+  if (min_cycles >= 0 && !validate) {
+    std::cerr << "--min-cycles applies only with --validate\n";
+    return Usage(argv[0]);
+  }
+  if (validate) return Validate(trace_path, std::max(min_cycles, 1));
 
   std::string error;
   const auto trace = mwp::replay::ParseTraceFile(trace_path, &error);

@@ -2,10 +2,16 @@
 
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
 #include <utility>
+
+#include "obs/trace_schema.h"
 
 namespace mwp::replay {
 namespace {
@@ -21,13 +27,6 @@ struct JsonValue {
   std::string string_value;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* Find(std::string_view key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
 };
 
 /// Recursive-descent parser over the exporter's JSON subset.
@@ -227,454 +226,383 @@ class Parser {
   std::string error_;
 };
 
-/// First-error accumulator for the semantic (JSON -> CycleTrace) mapping.
-struct Ctx {
-  bool ok = true;
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsTag =
+    std::is_same_v<std::remove_cvref_t<T>, obs::schema::Tag>;
+
+using Scenario = std::vector<std::pair<std::string, double>>;
+
+/// First error of the JSON -> struct mapping, and the schema version whose
+/// keys are read.
+struct Reader {
+  int version = obs::kTraceSchemaVersion;
   std::string error;
 
-  void Fail(std::string message) {
-    if (ok) {
-      ok = false;
-      error = std::move(message);
-    }
+  bool Fail(std::string message) {
+    if (error.empty()) error = std::move(message);
+    return false;
+  }
+  bool Fail(std::string_view key, std::string_view problem) {
+    return Fail("key '" + std::string(key) + "' " + std::string(problem));
   }
 };
 
-const JsonValue* Get(Ctx& ctx, const JsonValue& obj, const char* key) {
-  if (!ctx.ok) return nullptr;
-  if (obj.kind != JsonValue::Kind::kObject) {
-    ctx.Fail("expected an object");
+/// Parses the whole token as a T: no fraction, exponent or out-of-range
+/// value, and no sign for an unsigned T.
+template <typename T>
+bool ParseInteger(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Member lookup that expects the keys in wire order: one comparison per
+/// key on an object the writer produced, a scan otherwise.
+class Members {
+ public:
+  explicit Members(const JsonValue& object) : members_(object.members) {}
+
+  const JsonValue* Find(std::string_view key) {
+    if (next_ < members_.size() && members_[next_].first == key) {
+      return &members_[next_++].second;
+    }
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      if (members_[i].first == key) {
+        next_ = i + 1;
+        return &members_[i].second;
+      }
+    }
     return nullptr;
   }
-  const JsonValue* value = obj.Find(key);
-  if (value == nullptr) ctx.Fail(std::string("missing key '") + key + "'");
-  return value;
+
+ private:
+  const std::vector<std::pair<std::string, JsonValue>>& members_;
+  std::size_t next_ = 0;
+};
+
+template <obs::schema::WireRecord R>
+bool ReadRecord(Reader& rd, const JsonValue& value, R& record,
+                std::string_view key);
+
+/// Reads `value` into `out`, whose C++ type decides the JSON type expected
+/// (see trace_schema.h). `key` names the field in errors; it is empty for a
+/// whole line's record.
+template <typename T>
+bool ReadJson(Reader& rd, const JsonValue& value, T& out,
+              std::string_view key) {
+  using Kind = JsonValue::Kind;
+  if constexpr (std::is_same_v<T, bool>) {
+    if (value.kind != Kind::kBool) return rd.Fail(key, "is not a boolean");
+    out = value.bool_value;
+    return true;
+  } else if constexpr (std::is_integral_v<T>) {
+    if (value.kind != Kind::kNumber || !ParseInteger(value.number, out)) {
+      return rd.Fail(key, "is not an integer in range");
+    }
+    return true;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (value.kind == Kind::kNull) {
+      out = kNaN;
+      return true;
+    }
+    if (value.kind != Kind::kNumber) {
+      return rd.Fail(key, "is not a number or null");
+    }
+    // The parser has already checked that the whole token is a double.
+    std::from_chars(value.number.data(),
+                    value.number.data() + value.number.size(), out);
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (value.kind != Kind::kString) return rd.Fail(key, "is not a string");
+    out = value.string_value;
+    return true;
+  } else if constexpr (obs::schema::WireRecord<T>) {
+    return ReadRecord(rd, value, out, key);
+  } else if constexpr (kIsOptional<T>) {
+    return ReadJson(rd, value, out.emplace(), key);
+  } else if constexpr (std::is_same_v<T, Scenario>) {
+    if (value.kind != Kind::kObject) return rd.Fail(key, "is not an object");
+    out.resize(value.members.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].first = value.members[i].first;
+      if (!ReadJson(rd, value.members[i].second, out[i].second, key)) {
+        return false;
+      }
+    }
+    return true;
+  } else {
+    if (value.kind != Kind::kArray) return rd.Fail(key, "is not an array");
+    out.resize(value.array.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (!ReadJson(rd, value.array[i], out[i], key)) return false;
+    }
+    return true;
+  }
 }
 
-double GetDouble(Ctx& ctx, const JsonValue& obj, const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
-  if (value == nullptr) return 0.0;
-  if (value->kind == JsonValue::Kind::kNull) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  if (value->kind != JsonValue::Kind::kNumber) {
-    ctx.Fail(std::string("key '") + key + "' is not a number");
-    return 0.0;
-  }
-  double out = 0.0;
-  const char* begin = value->number.data();
-  std::from_chars(begin, begin + value->number.size(), out);
-  return out;
-}
-
-template <typename Int>
-Int GetInt(Ctx& ctx, const JsonValue& obj, const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
-  if (value == nullptr) return Int{0};
-  if (value->kind != JsonValue::Kind::kNumber) {
-    ctx.Fail(std::string("key '") + key + "' is not a number");
-    return Int{0};
-  }
-  Int out{0};
-  const char* begin = value->number.data();
-  const char* end = begin + value->number.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec != std::errc() || ptr != end) {
-    ctx.Fail(std::string("key '") + key + "' is not an integer");
-    return Int{0};
-  }
-  return out;
-}
-
-bool GetBool(Ctx& ctx, const JsonValue& obj, const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
-  if (value == nullptr) return false;
-  if (value->kind != JsonValue::Kind::kBool) {
-    ctx.Fail(std::string("key '") + key + "' is not a boolean");
-    return false;
-  }
-  return value->bool_value;
-}
-
-// Optional-key variants. Sharded-optimizer fields are emitted only when
-// sharding was active (keeping pre-sharding traces byte-identical), so a
-// missing key means "monolithic recording", not a malformed trace.
-template <typename Int>
-Int GetIntOr(Ctx& ctx, const JsonValue& obj, const char* key, Int fallback) {
-  if (ctx.ok && obj.kind == JsonValue::Kind::kObject &&
-      obj.Find(key) == nullptr) {
-    return fallback;
-  }
-  return GetInt<Int>(ctx, obj, key);
-}
-
-/// GetDouble for a key that may legitimately be absent (see GetIntOr).
-double GetDoubleOr(Ctx& ctx, const JsonValue& obj, const char* key,
-                   double fallback) {
-  if (ctx.ok && obj.kind == JsonValue::Kind::kObject &&
-      obj.Find(key) == nullptr) {
-    return fallback;
-  }
-  return GetDouble(ctx, obj, key);
-}
-
-std::string GetString(Ctx& ctx, const JsonValue& obj, const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
-  if (value == nullptr) return {};
-  if (value->kind != JsonValue::Kind::kString) {
-    ctx.Fail(std::string("key '") + key + "' is not a string");
-    return {};
-  }
-  return value->string_value;
-}
-
-double ElementAsDouble(Ctx& ctx, const JsonValue& element, const char* key) {
-  if (element.kind == JsonValue::Kind::kNull) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  if (element.kind != JsonValue::Kind::kNumber) {
-    ctx.Fail(std::string("array '") + key + "' holds a non-number");
-    return 0.0;
-  }
-  double out = 0.0;
-  const char* begin = element.number.data();
-  std::from_chars(begin, begin + element.number.size(), out);
-  return out;
-}
-
-std::vector<double> GetDoubleArray(Ctx& ctx, const JsonValue& obj,
-                                   const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
-  std::vector<double> out;
-  if (value == nullptr) return out;
-  if (value->kind != JsonValue::Kind::kArray) {
-    ctx.Fail(std::string("key '") + key + "' is not an array");
-    return out;
-  }
-  out.reserve(value->array.size());
-  for (const JsonValue& element : value->array) {
-    out.push_back(ElementAsDouble(ctx, element, key));
-  }
-  return out;
-}
-
-/// GetDoubleArray for a key that may legitimately be absent (see GetIntOr).
-std::vector<double> GetDoubleArrayOr(Ctx& ctx, const JsonValue& obj,
-                                     const char* key) {
-  if (ctx.ok && obj.kind == JsonValue::Kind::kObject &&
-      obj.Find(key) == nullptr) {
-    return {};
-  }
-  return GetDoubleArray(ctx, obj, key);
-}
-
-std::vector<NodeId> GetNodeArray(Ctx& ctx, const JsonValue& obj,
-                                 const char* key) {
-  const JsonValue* value = Get(ctx, obj, key);
-  std::vector<NodeId> out;
-  if (value == nullptr) return out;
-  if (value->kind != JsonValue::Kind::kArray) {
-    ctx.Fail(std::string("key '") + key + "' is not an array");
-    return out;
-  }
-  out.reserve(value->array.size());
-  for (const JsonValue& element : value->array) {
-    out.push_back(
-        static_cast<NodeId>(ElementAsDouble(ctx, element, key)));
-  }
-  return out;
-}
-
-obs::CycleInputRecord ReadInput(Ctx& ctx, const JsonValue& obj) {
-  obs::CycleInputRecord in;
-  in.now = GetDouble(ctx, obj, "now");
-  in.control_cycle = GetDouble(ctx, obj, "control_cycle");
-
-  if (const JsonValue* nodes = Get(ctx, obj, "nodes");
-      nodes != nullptr && nodes->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& n : nodes->array) {
-      obs::TraceNodeInput node;
-      node.num_cpus = GetInt<int>(ctx, n, "cpus");
-      node.cpu_speed = GetDouble(ctx, n, "speed");
-      node.memory = GetDouble(ctx, n, "memory");
-      node.state = GetInt<int>(ctx, n, "state");
-      node.speed_factor = GetDouble(ctx, n, "speed_factor");
-      in.nodes.push_back(node);
+/// Names the first member of `object` that R's field list did not consume:
+/// a key the list lacks at this schema version, or a repeated key.
+template <obs::schema::WireRecord R>
+bool FailOnUnreadMember(Reader& rd, const JsonValue& object) {
+  const auto& members = object.members;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const std::string& name = members[i].first;
+    bool known = false;
+    obs::schema::ForEachField<R>([&](const auto& field) {
+      if constexpr (kIsTag<decltype(field)>) {
+        known = known || field.key == name;
+      } else {
+        known = known || (field.key == name && field.since <= rd.version);
+      }
+    });
+    if (!known) {
+      return rd.Fail(name, "is not in schema v" + std::to_string(rd.version));
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      if (members[j].first == name) return rd.Fail(name, "is repeated");
     }
   }
+  return rd.Fail("object has members no field reads");
+}
 
-  if (const JsonValue* jobs = Get(ctx, obj, "jobs");
-      jobs != nullptr && jobs->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& j : jobs->array) {
-      obs::TraceJobInput job;
-      job.id = GetInt<AppId>(ctx, j, "id");
-      job.submit_time = GetDouble(ctx, j, "submit_time");
-      job.desired_start = GetDouble(ctx, j, "desired_start");
-      job.completion_goal = GetDouble(ctx, j, "completion_goal");
-      job.work_done = GetDouble(ctx, j, "work_done");
-      job.status = GetInt<int>(ctx, j, "status");
-      job.current_node = GetInt<NodeId>(ctx, j, "node");
-      job.overhead_until = GetDouble(ctx, j, "overhead_until");
-      job.place_overhead = GetDouble(ctx, j, "place_overhead");
-      job.migrate_overhead = GetDouble(ctx, j, "migrate_overhead");
-      job.memory = GetDouble(ctx, j, "memory");
-      job.max_speed = GetDouble(ctx, j, "max_speed");
-      job.min_speed = GetDouble(ctx, j, "min_speed");
-      if (const JsonValue* stages = Get(ctx, j, "stages");
-          stages != nullptr && stages->kind == JsonValue::Kind::kArray) {
-        for (const JsonValue& s : stages->array) {
-          obs::TraceStageInput stage;
-          stage.work = GetDouble(ctx, s, "work");
-          stage.max_speed = GetDouble(ctx, s, "max_speed");
-          stage.min_speed = GetDouble(ctx, s, "min_speed");
-          stage.memory = GetDouble(ctx, s, "memory");
-          job.stages.push_back(stage);
+/// Reads one record through its field list. An object must carry exactly
+/// the keys the writer would emit for the values read from it.
+template <obs::schema::WireRecord R>
+bool ReadRecord(Reader& rd, const JsonValue& value, R& record,
+                std::string_view key) {
+  using Kind = JsonValue::Kind;
+  if constexpr (obs::schema::kTupleEncoded<R>) {
+    constexpr std::size_t kArity =
+        std::tuple_size_v<decltype(obs::schema::Schema<R>::kFields)>;
+    if (value.kind != Kind::kArray || value.array.size() != kArity) {
+      return rd.Fail(key, "holds an element that is not an array of " +
+                              std::to_string(kArity) + " integers");
+    }
+    std::size_t i = 0;
+    bool ok = true;
+    obs::schema::ForEachField<R>([&](const auto& field) {
+      ok = ok && ReadJson(rd, value.array[i++], field.Get(record), key);
+    });
+    return ok;
+  } else {
+    if (value.kind != Kind::kObject) {
+      return key.empty() ? rd.Fail("a record must be a JSON object")
+                         : rd.Fail(key, "is not an object");
+    }
+    // Read every key present at this schema version; absent keys keep the
+    // struct's defaults.
+    static_assert(
+        std::tuple_size_v<decltype(obs::schema::Schema<R>::kFields)> <= 64);
+    Members members(value);
+    std::uint64_t present = 0;
+    std::size_t consumed = 0;
+    std::size_t index = 0;
+    bool ok = true;
+    obs::schema::ForEachField<R>([&](const auto& field) {
+      const std::uint64_t bit = std::uint64_t{1} << index++;
+      if (!ok) return;
+      if constexpr (kIsTag<decltype(field)>) {
+        const JsonValue* tag = members.Find(field.key);
+        if (tag == nullptr || tag->kind != Kind::kString ||
+            tag->string_value != field.value) {
+          ok = rd.Fail("expected a " + std::string(field.value) + " record");
+          return;
+        }
+        ++consumed;
+      } else {
+        if (field.since > rd.version) return;
+        const JsonValue* member = members.Find(field.key);
+        if (member == nullptr) return;
+        ++consumed;
+        present |= bit;
+        ok = ReadJson(rd, *member, field.Get(record), field.key);
+      }
+    });
+    if (!ok) return false;
+    if (consumed != value.members.size()) {
+      return FailOnUnreadMember<R>(rd, value);
+    }
+    // A key is present exactly when the writer emits it: required keys and
+    // whole optional groups whose condition holds.
+    index = 0;
+    obs::schema::ForEachField<R>([&](const auto& field) {
+      const bool is_present = (present >> index++) & 1U;
+      if constexpr (!kIsTag<decltype(field)>) {
+        if (!ok || field.since > rd.version) return;
+        if (is_present != field.Written(record)) {
+          ok = rd.Fail(field.key, is_present
+                                      ? "is present but its group is off"
+                                      : "is missing");
         }
       }
-      in.jobs.push_back(std::move(job));
-    }
+    });
+    return ok;
   }
-
-  if (const JsonValue* txs = Get(ctx, obj, "tx");
-      txs != nullptr && txs->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& t : txs->array) {
-      obs::TraceTxInput tx;
-      tx.id = GetInt<AppId>(ctx, t, "id");
-      tx.name = GetString(ctx, t, "name");
-      tx.memory = GetDouble(ctx, t, "memory");
-      tx.response_time_goal = GetDouble(ctx, t, "response_time_goal");
-      tx.demand_per_request = GetDouble(ctx, t, "demand_per_request");
-      tx.min_response_time = GetDouble(ctx, t, "min_response_time");
-      tx.saturation = GetDouble(ctx, t, "saturation");
-      tx.max_instances = GetInt<int>(ctx, t, "max_instances");
-      tx.arrival_rate = GetDouble(ctx, t, "arrival_rate");
-      tx.current_nodes = GetNodeArray(ctx, t, "nodes");
-      in.tx_apps.push_back(std::move(tx));
-    }
-  }
-
-  if (const JsonValue* opts = Get(ctx, obj, "options"); opts != nullptr) {
-    in.options.max_sweeps = GetInt<int>(ctx, *opts, "max_sweeps");
-    in.options.max_changes_per_node =
-        GetInt<int>(ctx, *opts, "max_changes_per_node");
-    in.options.max_wishes_tried = GetInt<int>(ctx, *opts, "max_wishes_tried");
-    in.options.max_migrations_tried =
-        GetInt<int>(ctx, *opts, "max_migrations_tried");
-    in.options.max_evaluations = GetInt<int>(ctx, *opts, "max_evaluations");
-    in.options.tie_tolerance = GetDouble(ctx, *opts, "tie_tolerance");
-    in.options.grid = GetDoubleArray(ctx, *opts, "grid");
-    in.options.level_tolerance = GetDouble(ctx, *opts, "level_tolerance");
-    in.options.probe_delta = GetDouble(ctx, *opts, "probe_delta");
-    in.options.bisection_iters = GetInt<int>(ctx, *opts, "bisection_iters");
-    in.options.batch_aggregate = GetBool(ctx, *opts, "batch_aggregate");
-    in.options.cell_size = GetIntOr<int>(ctx, *opts, "cell_size", 0);
-    in.options.partition_seed =
-        GetIntOr<std::uint64_t>(ctx, *opts, "partition_seed", 0);
-    in.options.max_cross_cell_moves =
-        GetIntOr<int>(ctx, *opts, "max_cross_cell_moves", 8);
-    // Fairness-objective fields (absent in pre-objective traces = default
-    // lexicographic max-min; fallbacks mirror FairnessObjectiveConfig).
-    in.options.objective = GetIntOr<int>(ctx, *opts, "objective", 0);
-    in.options.karma_weight = GetDoubleOr(ctx, *opts, "karma_weight", 0.5);
-    in.options.karma_cap = GetDoubleOr(ctx, *opts, "karma_cap", 8.0);
-    in.options.karma_earn_rate =
-        GetDoubleOr(ctx, *opts, "karma_earn_rate", 1.0);
-    in.options.pf_epsilon = GetDoubleOr(ctx, *opts, "pf_epsilon", 1e-6);
-  }
-
-  if (const JsonValue* pins = Get(ctx, obj, "pins");
-      pins != nullptr && pins->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& p : pins->array) {
-      obs::TracePin pin;
-      pin.app = GetInt<AppId>(ctx, p, "app");
-      pin.nodes = GetNodeArray(ctx, p, "nodes");
-      in.pins.push_back(std::move(pin));
-    }
-  }
-
-  if (const JsonValue* seps = Get(ctx, obj, "separations");
-      seps != nullptr && seps->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& s : seps->array) {
-      if (s.kind != JsonValue::Kind::kArray || s.array.size() != 2) {
-        ctx.Fail("separation must be an [a,b] pair");
-        break;
-      }
-      in.separations.emplace_back(
-          static_cast<AppId>(ElementAsDouble(ctx, s.array[0], "separations")),
-          static_cast<AppId>(ElementAsDouble(ctx, s.array[1], "separations")));
-    }
-  }
-  in.fairness_credits = GetDoubleArrayOr(ctx, obj, "credits");
-  return in;
 }
 
-obs::CycleDecisionRecord ReadDecision(Ctx& ctx, const JsonValue& obj) {
-  obs::CycleDecisionRecord decision;
-  if (const JsonValue* cells = Get(ctx, obj, "placement");
-      cells != nullptr && cells->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& c : cells->array) {
-      if (c.kind != JsonValue::Kind::kArray || c.array.size() != 3) {
-        ctx.Fail("placement cell must be [entity,node,count]");
-        break;
+/// The header's schema version, read ahead of its other keys because it
+/// gates them. Absent or malformed, it is the current version and the
+/// header's own walk reports the problem.
+int PeekSchemaVersion(const JsonValue& header) {
+  if (header.kind == JsonValue::Kind::kObject) {
+    for (const auto& [key, value] : header.members) {
+      int version = 0;
+      if (key == obs::schema::kSchemaVersion.key &&
+          value.kind == JsonValue::Kind::kNumber &&
+          ParseInteger(value.number, version)) {
+        return version;
       }
-      obs::TracePlacementCell cell;
-      cell.entity = static_cast<int>(ElementAsDouble(ctx, c.array[0], "placement"));
-      cell.node = static_cast<int>(ElementAsDouble(ctx, c.array[1], "placement"));
-      cell.count = static_cast<int>(ElementAsDouble(ctx, c.array[2], "placement"));
-      decision.placement.push_back(cell);
     }
   }
-  decision.allocations = GetDoubleArray(ctx, obj, "allocations");
-  return decision;
-}
-
-obs::CycleTrace ReadCycle(Ctx& ctx, const JsonValue& obj, int version) {
-  obs::CycleTrace t;
-  if (version >= 2) t.run_id = GetString(ctx, obj, "run_id");
-  t.cycle = GetInt<int>(ctx, obj, "cycle");
-  t.time = GetDouble(ctx, obj, "time");
-  t.avg_job_rp = GetDouble(ctx, obj, "avg_job_rp");
-  t.min_job_rp = GetDouble(ctx, obj, "min_job_rp");
-  t.num_jobs = GetInt<int>(ctx, obj, "num_jobs");
-  t.running_jobs = GetInt<int>(ctx, obj, "running_jobs");
-  t.queued_jobs = GetInt<int>(ctx, obj, "queued_jobs");
-  t.suspended_jobs = GetInt<int>(ctx, obj, "suspended_jobs");
-  t.batch_allocation = GetDouble(ctx, obj, "batch_allocation");
-  t.tx_allocation = GetDouble(ctx, obj, "tx_allocation");
-  t.cluster_utilization = GetDouble(ctx, obj, "cluster_utilization");
-  t.starts = GetInt<int>(ctx, obj, "starts");
-  t.stops = GetInt<int>(ctx, obj, "stops");
-  t.suspends = GetInt<int>(ctx, obj, "suspends");
-  t.resumes = GetInt<int>(ctx, obj, "resumes");
-  t.migrations = GetInt<int>(ctx, obj, "migrations");
-  t.failed_operations = GetInt<int>(ctx, obj, "failed_operations");
-  t.evaluations = GetInt<int>(ctx, obj, "evaluations");
-  t.shortcut = GetBool(ctx, obj, "shortcut");
-  t.solver_seconds = GetDouble(ctx, obj, "solver_seconds");
-  t.cache_hits = GetInt<std::uint64_t>(ctx, obj, "cache_hits");
-  t.cache_misses = GetInt<std::uint64_t>(ctx, obj, "cache_misses");
-  t.distribute_calls = GetInt<std::uint64_t>(ctx, obj, "distribute_calls");
-  t.num_cells = GetIntOr<int>(ctx, obj, "num_cells", 0);
-  t.cross_cell_migrations = GetIntOr<int>(ctx, obj, "cross_cell_migrations", 0);
-  t.cell_solver_seconds = GetDoubleArrayOr(ctx, obj, "cell_solver_seconds");
-  // Optional event-driven cycle tag (missing = periodic cycle).
-  if (obj.kind == JsonValue::Kind::kObject && obj.Find("trigger") != nullptr) {
-    t.trigger = GetString(ctx, obj, "trigger");
-  }
-  t.node_health.online = GetInt<int>(ctx, obj, "nodes_online");
-  t.node_health.degraded = GetInt<int>(ctx, obj, "nodes_degraded");
-  t.node_health.offline = GetInt<int>(ctx, obj, "nodes_offline");
-  t.node_health.available_cpu = GetDouble(ctx, obj, "available_cpu");
-  t.node_health.nominal_cpu = GetDouble(ctx, obj, "nominal_cpu");
-  t.rp_before = GetDoubleArray(ctx, obj, "rp_before");
-  t.rp_after = GetDoubleArray(ctx, obj, "rp_after");
-  t.tx_utilities = GetDoubleArray(ctx, obj, "tx_utilities");
-  t.tx_allocations = GetDoubleArray(ctx, obj, "tx_allocations");
-  if (version >= 2) {
-    const bool has_input = obj.Find("input") != nullptr;
-    const bool has_decision = obj.Find("decision") != nullptr;
-    if (has_input != has_decision) {
-      ctx.Fail("cycle must carry both input and decision or neither");
-    } else if (has_input) {
-      t.input = ReadInput(ctx, *obj.Find("input"));
-      t.decision = ReadDecision(ctx, *obj.Find("decision"));
-    }
-  }
-  return t;
+  return obs::kTraceSchemaVersion;
 }
 
 void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
+std::string LineError(std::size_t line, const std::string& message) {
+  return "line " + std::to_string(line) + ": " + message;
+}
+
+template <auto... Path>
+std::string KeyName() {
+  return std::string(obs::schema::KeyOf<Path...>());
+}
+
 }  // namespace
 
 std::optional<ParsedTrace> ParseTraceJsonl(std::string_view text,
                                            std::string* error) {
+  const auto fail = [error](std::size_t line, const std::string& message) {
+    SetError(error, LineError(line, message));
+    return std::nullopt;
+  };
   ParsedTrace trace;
+  Reader rd;
+  std::uint64_t declared = 0;
   std::size_t line_no = 0;
-  std::size_t declared = 0;
   std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos <= text.size()) {
+  while (pos < text.size()) {
     const std::size_t nl = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, nl == std::string_view::npos ? text.size() - pos
-                                                      : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    if (line.empty()) {
-      if (nl == std::string_view::npos) break;
-      continue;
-    }
+    const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
     ++line_no;
+    if (line.empty()) return fail(line_no, "empty line");
 
     JsonValue value;
     Parser parser(line);
-    if (!parser.Parse(value)) {
-      SetError(error,
-               "line " + std::to_string(line_no) + ": " + parser.error());
-      return std::nullopt;
-    }
-    Ctx ctx;
-    if (!saw_header) {
-      saw_header = true;
-      if (GetString(ctx, value, "record") != "header") {
-        SetError(error, "line 1: first record must be a header");
-        return std::nullopt;
+    if (!parser.Parse(value)) return fail(line_no, parser.error());
+    if (line_no == 1) {
+      rd.version = PeekSchemaVersion(value);
+      if (rd.version < 1 || rd.version > obs::kTraceSchemaVersion) {
+        return fail(1, "unsupported " +
+                           std::string(obs::schema::kSchemaVersion.key) +
+                           " " + std::to_string(rd.version));
       }
-      trace.schema_version = GetInt<int>(ctx, value, "schema_version");
-      if (ctx.ok && trace.schema_version != 1 && trace.schema_version != 2) {
-        SetError(error, "line 1: unsupported schema_version " +
-                            std::to_string(trace.schema_version));
-        return std::nullopt;
-      }
-      trace.context.experiment = GetString(ctx, value, "experiment");
-      trace.context.seed = GetInt<std::uint64_t>(ctx, value, "seed");
-      trace.context.control_cycle = GetDouble(ctx, value, "control_cycle");
-      trace.context.build_type = GetString(ctx, value, "build_type");
-      trace.context.git_sha = GetString(ctx, value, "git_sha");
-      if (trace.schema_version >= 2) {
-        trace.context.run_id = GetString(ctx, value, "run_id");
-      }
-      // Optional scenario-calibration object (emitted by src/workload runs
-      // only); ordered members round-trip through re-export byte-identically.
-      if (const JsonValue* scenario = value.Find("scenario");
-          scenario != nullptr && scenario->kind == JsonValue::Kind::kObject) {
-        for (const auto& [name, entry] : scenario->members) {
-          if (entry.kind != JsonValue::Kind::kNumber) {
-            ctx.Fail("scenario value '" + name + "' is not a number");
-            break;
-          }
-          double parsed = 0.0;
-          const char* begin = entry.number.data();
-          std::from_chars(begin, begin + entry.number.size(), parsed);
-          trace.context.scenario.emplace_back(name, parsed);
-        }
-      }
-      declared = GetInt<std::size_t>(ctx, value, "num_cycles");
-    } else {
-      if (GetString(ctx, value, "record") != "cycle") {
-        ctx.Fail("expected a cycle record");
-      } else {
-        trace.cycles.push_back(ReadCycle(ctx, value, trace.schema_version));
-      }
-    }
-    if (!ctx.ok) {
-      SetError(error, "line " + std::to_string(line_no) + ": " + ctx.error);
-      return std::nullopt;
+      obs::schema::TraceHeader header;
+      if (!ReadRecord(rd, value, header, {})) return fail(1, rd.error);
+      trace.schema_version = header.schema_version;
+      trace.context = std::move(header.context);
+      declared = header.num_cycles;
+    } else if (!ReadRecord(rd, value, trace.cycles.emplace_back(), {})) {
+      return fail(line_no, rd.error);
     }
   }
-  if (!saw_header) {
-    SetError(error, "empty trace file");
-    return std::nullopt;
-  }
+  if (line_no == 0) return fail(1, "empty trace file");
   if (trace.cycles.size() != declared) {
-    SetError(error, "header declares " + std::to_string(declared) +
-                        " cycles but file has " +
-                        std::to_string(trace.cycles.size()));
-    return std::nullopt;
+    return fail(1, "header declares " + std::to_string(declared) +
+                       " cycles but the file has " +
+                       std::to_string(trace.cycles.size()));
   }
   return trace;
+}
+
+bool ValidateTrace(const ParsedTrace& trace, int min_cycles,
+                   std::string* error) {
+  using obs::CycleInputRecord;
+  using obs::CycleTrace;
+  const auto fail = [error](std::size_t line, const std::string& message) {
+    SetError(error, LineError(line, message));
+    return false;
+  };
+  const auto count = [](std::string_view key, std::size_t entries,
+                        std::string_view expected, std::int64_t want) {
+    return std::string(key) + " has " + std::to_string(entries) +
+           " entries, not " + std::string(expected) + " = " +
+           std::to_string(want);
+  };
+  for (std::size_t i = 0; i < trace.cycles.size(); ++i) {
+    const CycleTrace& t = trace.cycles[i];
+    const std::size_t line = i + 2;  // line 1 is the header
+    if (i > 0) {
+      // Sweep exports concatenate runs: within a run the cycle number
+      // advances by one, and a new run starts at cycle 0.
+      const CycleTrace& prev = trace.cycles[i - 1];
+      if (t.cycle != 0 &&
+          std::int64_t{t.cycle} != std::int64_t{prev.cycle} + 1) {
+        return fail(line, KeyName<&CycleTrace::cycle>() + " jumped from " +
+                              std::to_string(prev.cycle) + " to " +
+                              std::to_string(t.cycle));
+      }
+      if (t.run_id != prev.run_id && t.cycle != 0) {
+        return fail(line, KeyName<&CycleTrace::run_id>() + " changed to '" +
+                              t.run_id + "' without a reset to cycle 0");
+      }
+    }
+    const std::int64_t entities =
+        std::int64_t{t.num_jobs} + std::ssize(t.tx_utilities);
+    if (std::ssize(t.rp_after) != entities) {
+      return fail(line,
+                  count(KeyName<&CycleTrace::rp_after>(), t.rp_after.size(),
+                        KeyName<&CycleTrace::num_jobs>() + " + " +
+                            KeyName<&CycleTrace::tx_utilities>(),
+                        entities));
+    }
+    if (t.num_cells > 0 && std::ssize(t.cell_solver_seconds) != t.num_cells) {
+      return fail(line, count(KeyName<&CycleTrace::cell_solver_seconds>(),
+                              t.cell_solver_seconds.size(),
+                              KeyName<&CycleTrace::num_cells>(), t.num_cells));
+    }
+    if (!t.input.has_value()) continue;
+    const CycleInputRecord& in = *t.input;
+    if (std::ssize(in.jobs) != t.num_jobs) {
+      return fail(line, count(KeyName<&CycleInputRecord::jobs>(),
+                              in.jobs.size(), KeyName<&CycleTrace::num_jobs>(),
+                              t.num_jobs));
+    }
+    if (in.tx_apps.size() != t.tx_utilities.size()) {
+      return fail(line, count(KeyName<&CycleInputRecord::tx_apps>(),
+                              in.tx_apps.size(),
+                              KeyName<&CycleTrace::tx_utilities>(),
+                              std::ssize(t.tx_utilities)));
+    }
+    const std::size_t input_entities = in.jobs.size() + in.tx_apps.size();
+    if (!in.fairness_credits.empty() &&
+        in.fairness_credits.size() != input_entities) {
+      return fail(line,
+                  count(KeyName<&CycleInputRecord::fairness_credits>(),
+                        in.fairness_credits.size(),
+                        KeyName<&CycleInputRecord::jobs>() + " + " +
+                            KeyName<&CycleInputRecord::tx_apps>(),
+                        static_cast<std::int64_t>(input_entities)));
+    }
+  }
+  if (std::ssize(trace.cycles) < min_cycles) {
+    SetError(error, "expected at least " + std::to_string(min_cycles) +
+                        " cycle records, found " +
+                        std::to_string(trace.cycles.size()));
+    return false;
+  }
+  return true;
 }
 
 std::optional<ParsedTrace> ParseTraceFile(const std::string& path,

@@ -81,6 +81,194 @@ TEST(TraceReaderTest, ReportsLineNumbersInErrors) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+// --- the reader accepts exactly what the writer emits ----------------------
+
+// A one-cycle trace that carries every optional group of the cycle, input and
+// options records, so each probe below edits a record the writer produced.
+std::string SchemaProbeBase() {
+  obs::TraceContext context;
+  context.experiment = "probe";
+  context.seed = 3;
+  context.control_cycle = 600.0;
+  context.build_type = "Release";
+  context.git_sha = "cafef00d";
+  context.run_id = "r";
+  obs::CycleTrace t;
+  t.run_id = "r";
+  t.num_jobs = 1;
+  t.stops = 4;
+  t.rp_after = {0.5, 0.25};
+  t.tx_utilities = {0.25};
+  t.tx_allocations = {512.0};
+  t.num_cells = 2;
+  t.cross_cell_migrations = 1;
+  t.cell_solver_seconds = {0.5, 0.25};
+  t.trigger = "event";
+  obs::CycleInputRecord in;
+  in.control_cycle = 600.0;
+  in.nodes = {{2, 3000.0, 4096.0, 0, 1.0}};
+  obs::TraceJobInput job;
+  job.id = 1;
+  job.stages = {{9000.0, 1500.0, 0.0, 512.0}};
+  in.jobs = {job};
+  obs::TraceTxInput tx;
+  tx.id = 2;
+  tx.name = "tx";
+  tx.current_nodes = {0};
+  in.tx_apps = {tx};
+  in.options.cell_size = 2;
+  in.options.partition_seed = 11;
+  in.options.objective = 1;
+  in.options.pf_epsilon = 0.125;
+  in.pins = {{2, {0}}};
+  in.separations = {{1, 2}};
+  in.fairness_credits = {1.5, 2.5};
+  t.input = in;
+  obs::CycleDecisionRecord d;
+  d.placement = {{0, 0, 1}, {1, 0, 1}};
+  d.allocations = {1024.0, 512.0};
+  t.decision = d;
+  std::ostringstream os;
+  obs::WriteTraceJsonl(os, context, std::vector<obs::CycleTrace>{t});
+  return os.str();
+}
+
+/// `text` with its one occurrence of `from` replaced by `to`.
+std::string Edited(const std::string& text, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "probe text lacks " << from;
+  EXPECT_EQ(text.find(from, at + 1), std::string::npos)
+      << "probe text repeats " << from;
+  if (at == std::string::npos) return text;
+  return text.substr(0, at) + to + text.substr(at + from.size());
+}
+
+TEST(TraceReaderTest, RejectsRecordsOutsideTheSchema) {
+  const std::string base = SchemaProbeBase();
+  std::string error;
+  ASSERT_TRUE(ParseTraceJsonl(base, &error).has_value()) << error;
+  ASSERT_TRUE(ValidateTrace(*ParseTraceJsonl(base, &error), 1, &error))
+      << error;
+
+  const std::size_t decision_at = base.find(",\"decision\":");
+  ASSERT_NE(decision_at, std::string::npos);
+  const std::string without_decision = base.substr(0, decision_at) + "}\n";
+
+  struct Probe {
+    const char* what;
+    std::string text;
+    int line;
+    const char* key;
+  };
+  const std::vector<Probe> probes = {
+      {"unknown key",
+       Edited(base, R"("evaluations":0,)", R"("bogus":1,"evaluations":0,)"),
+       2, "bogus"},
+      {"duplicate key", Edited(base, R"("stops":4,)", R"("stops":4,"stops":5,)"),
+       2, "stops"},
+      {"duplicate header key", Edited(base, R"("seed":3,)", R"("seed":3,"seed":3,)"),
+       1, "seed"},
+      {"half-present sharded cycle group",
+       Edited(base, R"("cross_cell_migrations":1,)", ""), 2,
+       "cross_cell_migrations"},
+      {"half-present sharded options group",
+       Edited(base, R"("cell_size":2,)", ""), 2, "partition_seed"},
+      {"group present although its condition is off",
+       Edited(base, R"("num_cells":2,)", R"("num_cells":0,)"), 2, "num_cells"},
+      {"objective group without pf_epsilon",
+       Edited(base, R"(,"pf_epsilon":0.125)", ""), 2, "pf_epsilon"},
+      {"input without decision", without_decision, 2, "decision"},
+      {"fractional placement cell", Edited(base, "[1,0,1]", "[1,0,1.5]"), 2,
+       "placement"},
+      {"out-of-range placement cell", Edited(base, "[1,0,1]", "[1e20,0,1]"), 2,
+       "placement"},
+      {"null placement cell", Edited(base, "[1,0,1]", "[null,0,1]"), 2,
+       "placement"},
+      {"placement cell of two", Edited(base, "[1,0,1]", "[1,0]"), 2,
+       "placement"},
+      {"fractional separation", Edited(base, "[[1,2]]", "[[1,2.5]]"), 2,
+       "separations"},
+      {"out-of-range pin node",
+       Edited(base, R"({"app":2,"nodes":[0]})", R"({"app":2,"nodes":[1e300]})"),
+       2, "nodes"},
+      {"integer given as 2.5", Edited(base, R"("num_jobs":1,)", R"("num_jobs":2.5,)"),
+       2, "num_jobs"},
+      {"integer given as true",
+       Edited(base, R"("num_jobs":1,)", R"("num_jobs":true,)"), 2, "num_jobs"},
+      {"integer given as null",
+       Edited(base, R"("num_jobs":1,)", R"("num_jobs":null,)"), 2, "num_jobs"},
+      {"negative unsigned integer",
+       Edited(base, R"("partition_seed":11,)", R"("partition_seed":-11,)"), 2,
+       "partition_seed"},
+      {"boolean given as 0",
+       Edited(base, R"("shortcut":false,)", R"("shortcut":0,)"), 2, "shortcut"},
+      {"run_id in a v1 cycle",
+       Edited(kV1Trace, R"({"record":"cycle","cycle":1,)",
+              R"({"record":"cycle","run_id":"r","cycle":1,)"),
+       3, "run_id"},
+  };
+  for (const Probe& probe : probes) {
+    SCOPED_TRACE(probe.what);
+    error.clear();
+    EXPECT_FALSE(ParseTraceJsonl(probe.text, &error).has_value());
+    const std::string line = "line " + std::to_string(probe.line) + ":";
+    EXPECT_EQ(error.rfind(line, 0), 0u) << error;
+    EXPECT_NE(error.find(std::string("'") + probe.key + "'"),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST(TraceReaderTest, ValidateTraceChecksCrossRecordRules) {
+  const std::string base = SchemaProbeBase();
+  std::string error;
+  const auto parsed = ParseTraceJsonl(base, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+
+  // Each case breaks one rule the field lists cannot state.
+  const auto check = [](ParsedTrace trace, int min_cycles,
+                        const std::string& expected) {
+    std::string message;
+    EXPECT_FALSE(ValidateTrace(trace, min_cycles, &message)) << expected;
+    EXPECT_NE(message.find(expected), std::string::npos) << message;
+  };
+  ParsedTrace trace = *parsed;
+  trace.cycles[0].rp_after.pop_back();
+  check(trace, 1, "line 2: rp_after");
+
+  trace = *parsed;
+  trace.cycles[0].cell_solver_seconds.pop_back();
+  check(trace, 1, "line 2: cell_solver_seconds");
+
+  trace = *parsed;
+  trace.cycles[0].input->jobs.push_back(trace.cycles[0].input->jobs[0]);
+  trace.cycles[0].input->fairness_credits.push_back(0.0);
+  check(trace, 1, "line 2: jobs");
+
+  trace = *parsed;
+  trace.cycles[0].input->tx_apps.clear();
+  trace.cycles[0].input->fairness_credits.pop_back();
+  check(trace, 1, "line 2: tx");
+
+  trace = *parsed;
+  trace.cycles[0].input->fairness_credits.push_back(0.0);
+  check(trace, 1, "line 2: credits");
+
+  trace = *parsed;
+  trace.cycles.push_back(trace.cycles[0]);
+  trace.cycles[1].cycle = 2;
+  check(trace, 1, "line 3: cycle jumped from 0 to 2");
+
+  trace.cycles[1].cycle = 1;
+  trace.cycles[1].run_id = "other";
+  check(trace, 1, "line 3: run_id changed");
+
+  trace.cycles[1].cycle = 0;  // a new run segment starts at cycle 0
+  EXPECT_TRUE(ValidateTrace(trace, 2, &error)) << error;
+  check(trace, 3, "expected at least 3 cycle records, found 2");
+}
+
 // --- serialize → parse → serialize byte-stability property --------------
 
 std::vector<Utility> RandomVector(Rng& rng, int max_len) {
