@@ -27,6 +27,8 @@
 //     writer emits the key. Each condition is false for the struct's
 //     defaults, so a trace recorded before a group existed re-exports
 //     byte-identically.
+// The CSV form carries the always-written fields, in the same order, less
+// the JSONL framing marked NotInCsv.
 //
 // The reader accepts exactly what the writer can emit: an object must carry
 // exactly the keys the writer would write for the values read from it, so
@@ -82,7 +84,6 @@ struct Tag {
 /// One key bound to a member path of record R.
 template <typename R, auto... Path>
 struct Field {
-  using Record = R;
   using Member = std::remove_cvref_t<decltype(detail::Access<Path...>(
       std::declval<R&>()))>;
 

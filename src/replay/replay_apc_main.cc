@@ -32,10 +32,10 @@
 // offline tuning on production traces. Overridden replays are what-if
 // experiments: divergence from the recorded decisions is reported per cycle
 // but never fails the exit status.
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   bool verbose = false;
   bool quiet = false;
   bool validate = false;
-  int min_cycles = -1;  // unset
+  std::optional<int> min_cycles;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -121,14 +121,14 @@ int main(int argc, char** argv) {
       const char* v = next("--min-cycles");
       if (v == nullptr) return Usage(argv[0]);
       min_cycles = std::atoi(v);
-      if (min_cycles < 0) {
+      if (*min_cycles < 0) {
         std::cerr << "--min-cycles must not be negative\n";
         return Usage(argv[0]);
       }
     } else if (arg == "--validate") {
       validate = true;
     } else if (arg == "--diff") {
-      // Diffing is the tool's only mode; accepted for CLI-contract clarity.
+      // Diffing is the default mode; accepted for CLI-contract clarity.
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--quiet") {
@@ -145,11 +145,11 @@ int main(int argc, char** argv) {
     std::cerr << "--trace is required\n";
     return Usage(argv[0]);
   }
-  if (min_cycles >= 0 && !validate) {
+  if (min_cycles.has_value() && !validate) {
     std::cerr << "--min-cycles applies only with --validate\n";
     return Usage(argv[0]);
   }
-  if (validate) return Validate(trace_path, std::max(min_cycles, 1));
+  if (validate) return Validate(trace_path, min_cycles.value_or(1));
 
   std::string error;
   const auto trace = mwp::replay::ParseTraceFile(trace_path, &error);
