@@ -129,8 +129,9 @@ golden-run,1,600,nan,nan,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,3,0,0,3200,3200,,
 
 TEST(TraceExportTest, SchemaVersionIsPinned) {
   // Bumping the schema version is a deliberate act: it must come with new
-  // golden strings above and a matching update to
-  // tools/trace/validate_trace.py. This assertion makes a silent bump fail.
+  // golden strings above, new version gates in src/obs/trace_schema.h (the
+  // one definition the writer and the strict reader share) and re-recorded
+  // wire fingerprints. This assertion makes a silent bump fail.
   EXPECT_EQ(kTraceSchemaVersion, 2);
 }
 
