@@ -72,16 +72,9 @@ void AppendChars(std::string& out, T value) {
   out.append(buf, ptr);
 }
 
-template <typename T>
-inline constexpr bool kIsOptional = false;
-template <typename T>
-inline constexpr bool kIsOptional<std::optional<T>> = true;
-
-template <typename T>
-inline constexpr bool kIsTag =
-    std::is_same_v<std::remove_cvref_t<T>, schema::Tag>;
-
-using Scenario = std::vector<std::pair<std::string, double>>;
+using schema::kIsOptional;
+using schema::kIsTag;
+using schema::Scenario;
 
 template <typename T>
 void AppendJson(std::string& out, const T& value);

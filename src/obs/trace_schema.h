@@ -38,10 +38,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "obs/cycle_trace.h"
 #include "obs/trace_export.h"
@@ -80,6 +82,17 @@ struct Tag {
   std::string_view key;
   std::string_view value;
 };
+
+template <typename T>
+inline constexpr bool kIsTag = std::is_same_v<std::remove_cvref_t<T>, Tag>;
+
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+/// TraceContext::scenario: a JSON object of name: number.
+using Scenario = std::vector<std::pair<std::string, double>>;
 
 /// One key bound to a member path of record R.
 template <typename R, auto... Path>

@@ -228,16 +228,9 @@ class Parser {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-template <typename T>
-inline constexpr bool kIsOptional = false;
-template <typename T>
-inline constexpr bool kIsOptional<std::optional<T>> = true;
-
-template <typename T>
-inline constexpr bool kIsTag =
-    std::is_same_v<std::remove_cvref_t<T>, obs::schema::Tag>;
-
-using Scenario = std::vector<std::pair<std::string, double>>;
+using obs::schema::kIsOptional;
+using obs::schema::kIsTag;
+using obs::schema::Scenario;
 
 /// First error of the JSON -> struct mapping, and the schema version whose
 /// keys are read.
