@@ -23,6 +23,10 @@ struct VmCostModel {
   Seconds MigrateCost(Megabytes footprint) const;
   Seconds BootCost() const { return boot_s; }
 
+  /// Throws std::logic_error (MWP_CHECK) unless every field is finite and
+  /// non-negative.
+  void Validate() const;
+
   /// A model in which every operation is free — used by Experiment Two,
   /// which counts placement changes but does not charge their cost
   /// ("in this experiment, we did not consider the cost of the various types

@@ -18,6 +18,9 @@ namespace mwp {
 
 class Rng {
  public:
+  // audit: rng-engine-ok(the one seeded engine every draw flows through)
+  using Engine = std::mt19937_64;
+
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
   /// Uniform double in [0, 1).
@@ -68,10 +71,10 @@ class Rng {
   /// source its own stream so that adding a source does not perturb others.
   Rng Fork() { return Rng(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
+  Engine& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Engine engine_;
 };
 
 }  // namespace mwp

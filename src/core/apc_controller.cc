@@ -1,7 +1,6 @@
 #include "core/apc_controller.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -9,6 +8,7 @@
 #include "common/check.h"
 #include "common/log.h"
 #include "core/snapshot.h"
+#include "obs/stopwatch.h"
 
 namespace mwp {
 namespace {
@@ -36,6 +36,7 @@ ApcController::ApcController(const ClusterSpec* cluster, JobQueue* queue,
   MWP_CHECK(config_.repair_max_changes >= 0);
   // Every solve option, checked here once instead of on the first solve —
   // which may run on a pool thread that cannot report the error.
+  config_.costs.Validate();
   SolveOptions(config_).Validate();
 }
 
@@ -121,17 +122,13 @@ CycleSolution ApcController::SolveCycle(
     const PlacementSnapshot& snapshot) const {
   CycleSolution solution;
   const ShardedPlacementOptimizer::Options options = SolveOptions(config_);
-  // audit: wall-clock-ok(solver stopwatch; feeds solver_seconds metric only)
-  const auto wall_start = std::chrono::steady_clock::now();
+  const obs::Stopwatch stopwatch;
   ShardedPlacementOptimizer::Result solved = SolvePlacement(snapshot, options);
   solution.result = std::move(solved.global);
   solution.num_cells = solved.num_cells;
   solution.cross_cell_migrations = solved.cross_cell_migrations;
   solution.cell_solver_seconds = std::move(solved.cell_solve_seconds);
-  // audit: wall-clock-ok(solver stopwatch; feeds solver_seconds metric only)
-  const auto wall_end = std::chrono::steady_clock::now();
-  solution.solver_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
+  solution.solver_seconds = stopwatch.Elapsed();
   return solution;
 }
 

@@ -1,7 +1,6 @@
 #include "core/sharded_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -10,6 +9,7 @@
 #include "common/check.h"
 #include "core/evaluator.h"
 #include "core/thread_pool.h"
+#include "obs/stopwatch.h"
 
 namespace mwp {
 namespace {
@@ -65,7 +65,6 @@ ShardedPlacementOptimizer::ShardedPlacementOptimizer(
 }
 
 ShardedPlacementOptimizer::Result ShardedPlacementOptimizer::Optimize() const {
-  using Clock = std::chrono::steady_clock;
   const PlacementSnapshot& snap = *snapshot_;
   const CellPartition partition = CellPartition::Build(
       snap.num_nodes(), options_.cell_size, options_.partition_seed);
@@ -89,19 +88,15 @@ ShardedPlacementOptimizer::Result ShardedPlacementOptimizer::Optimize() const {
   std::uint64_t total_distribute_calls = 0;
 
   const auto solve_cell = [&](int c) {
-    // audit: wall-clock-ok(per-cell solve stopwatch; observability only)
-    const auto start = Clock::now();
+    const obs::Stopwatch stopwatch;
     CellState& state = cells[static_cast<std::size_t>(c)];
     state.slice =
         std::make_unique<SnapshotSlice>(snap, partition, assignment, c);
     state.optimizer = std::make_unique<PlacementOptimizer>(
         &state.slice->snapshot(), cell_options);
     state.result = state.optimizer->Optimize();
-    // audit: wall-clock-ok(per-cell solve stopwatch; observability only)
-    const auto elapsed = Clock::now() - start;
     // audit: order-fixed(slot c is written by exactly one pool index; timing only)
-    out.cell_solve_seconds[static_cast<std::size_t>(c)] +=
-        std::chrono::duration<double>(elapsed).count();
+    out.cell_solve_seconds[static_cast<std::size_t>(c)] += stopwatch.Elapsed();
   };
   const auto charge_cell = [&](const CellState& state) {
     total_evaluations += state.result.evaluations;

@@ -9,8 +9,9 @@
 // records to a TraceRecorder; exporters (trace_export.h) serialize the
 // collected run.
 //
-// All times are simulation seconds except solver_seconds, which is the
-// controller's allowlisted solver stopwatch (host wall time by intent).
+// All times are simulation seconds except solver_seconds and
+// cell_solver_seconds, which obs::Stopwatch measures (stopwatch.h; host
+// wall time by intent).
 #pragma once
 
 #include <cstdint>
@@ -227,7 +228,7 @@ struct CycleTrace {
 
   /// Sharded solve (0 = monolithic; the three fields are then omitted from
   /// exports): cells solved, accepted cross-cell job migrations, and the
-  /// per-cell solve wall time (same stopwatch as solver_seconds).
+  /// per-cell solve wall time (obs::Stopwatch, like solver_seconds).
   int num_cells = 0;
   int cross_cell_migrations = 0;
   std::vector<Seconds> cell_solver_seconds;

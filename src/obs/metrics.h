@@ -10,8 +10,9 @@
 //
 // Time never enters this module: instruments carry no timestamps, and any
 // time-valued observation (e.g. solver seconds) comes from the simulation
-// clock or the controller's allowlisted solver stopwatch. That keeps the
-// registry inside mwp_lint's wall-clock discipline (MWP002) by construction.
+// clock or from obs::Stopwatch (stopwatch.h), the tree's one host-clock
+// read. That keeps the registry outside the determinism auditor's clock
+// rule (AUD-D3) by construction.
 #pragma once
 
 #include <atomic>

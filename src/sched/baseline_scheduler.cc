@@ -11,6 +11,7 @@ BaselineScheduler::BaselineScheduler(const ClusterSpec* cluster,
     : cluster_(cluster), queue_(queue), config_(std::move(config)) {
   MWP_CHECK(cluster_ != nullptr);
   MWP_CHECK(queue_ != nullptr);
+  config_.costs.Validate();
   if (config_.allowed_nodes.empty()) {
     for (int n = 0; n < cluster_->num_nodes(); ++n) nodes_.push_back(n);
   } else {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/check.h"
 #include "common/log.h"
+#include "obs/stopwatch.h"
 
 namespace mwp {
 namespace {
@@ -38,21 +40,18 @@ ControllerService::ControllerService(ApcController* controller, Config config)
   MWP_CHECK(controller_ != nullptr);
 }
 
-ControllerService::~ControllerService() { Stop(); }
-
-std::uint64_t ControllerService::NowNs() {
-  // Real-time latency stopwatch (mwp_lint MWP002 allowlisted): the
-  // event-to-decision histogram measures the service itself, like the
-  // solver stopwatch measures the optimizer. Never feeds simulated time.
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // audit: wall-clock-ok(latency stopwatch; never feeds simulated time)
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+ControllerService::~ControllerService() {
+  try {
+    Stop();
+  } catch (const std::exception& e) {
+    MWP_LOG_ERROR << "ControllerService: a decision threw: " << e.what();
+  } catch (...) {
+    MWP_LOG_ERROR << "ControllerService: a decision threw";
+  }
 }
 
 bool ControllerService::Publish(ControlEvent event) {
-  event.publish_ns = NowNs();
+  event.publish_ns = obs::MonotonicNs();
   return inbox_.TryPush(event);
 }
 
@@ -247,11 +246,15 @@ void ControllerService::LaunchAsyncSolve() {
   solve_done_.store(false, std::memory_order_relaxed);
   solve_in_flight_.store(true, std::memory_order_relaxed);
   const bool accepted = config_.solver_pool->TrySubmit([this] {
-    // Solver task: reads only the frozen capture; hands the result back
-    // via the release-store on solve_done_.
-    solving_ = staged_.Acquire();
-    if (solving_ != nullptr) {
-      solution_ = controller_->SolveCycle(solving_->snapshot);
+    // Solver task: reads only the frozen capture; hands the result (or
+    // what the solve threw) back via the release-store on solve_done_.
+    try {
+      solving_ = staged_.Acquire();
+      if (solving_ != nullptr) {
+        solution_ = controller_->SolveCycle(solving_->snapshot);
+      }
+    } catch (...) {
+      solve_error_ = std::current_exception();
     }
     solve_done_.store(true, std::memory_order_release);
   });
@@ -269,33 +272,17 @@ void ControllerService::LaunchAsyncSolve() {
   }
   const CycleCapture* capture = staged_.Acquire();
   MWP_CHECK(capture != nullptr);
-  CycleSolution solution = controller_->SolveCycle(capture->snapshot);
-  controller_->set_next_cycle_trigger("event");
-  controller_->CommitCycle(*capture, std::move(solution),
-                           std::max(now_, capture->now), nullptr);
-  staged_.Release();
-  ++counters_.full_cycles;
-  if (config_.metrics != nullptr) {
-    config_.metrics->counter("svc.decisions.cycle").Increment();
-  }
-  ObserveLatencies(inflight_stamps_);
-  inflight_stamps_.clear();
+  CommitFullCycle(*capture, controller_->SolveCycle(capture->snapshot),
+                  inflight_stamps_);
 }
 
 void ControllerService::CheckAsyncCompletion() {
   if (!solve_in_flight_.load(std::memory_order_relaxed)) return;
   if (!solve_done_.load(std::memory_order_acquire)) return;
+  if (solve_error_) std::rethrow_exception(solve_error_);
   if (solving_ != nullptr) {
-    controller_->set_next_cycle_trigger("event");
-    controller_->CommitCycle(*solving_, std::move(solution_),
-                             std::max(now_, solving_->now), nullptr);
-    staged_.Release();
-    solving_ = nullptr;
-    ++counters_.full_cycles;
-    if (config_.metrics != nullptr) {
-      config_.metrics->counter("svc.decisions.cycle").Increment();
-    }
-    ObserveLatencies(inflight_stamps_);
+    CommitFullCycle(*std::exchange(solving_, nullptr), std::move(solution_),
+                    inflight_stamps_);
   }
   inflight_stamps_.clear();
   solve_in_flight_.store(false, std::memory_order_relaxed);
@@ -310,24 +297,40 @@ void ControllerService::CheckAsyncCompletion() {
 }
 
 void ControllerService::RunLoop(const std::stop_token& stop) {
-  while (!stop.stop_requested()) {
-    CheckAsyncCompletion();
-    drain_buffer_.clear();
-    inbox_.DrainInto(drain_buffer_,
-                     static_cast<std::size_t>(config_.max_drain_batch));
-    if (drain_buffer_.empty()) {
-      if (solve_in_flight_.load(std::memory_order_relaxed)) {
-        // Poll for solver completion at a fine grain; the inbox doorbell
-        // cannot signal it.
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      } else {
-        inbox_.WaitNonEmpty(config_.idle_wait_ns);
+  try {
+    while (!stop.stop_requested()) {
+      CheckAsyncCompletion();
+      drain_buffer_.clear();
+      inbox_.DrainInto(drain_buffer_,
+                       static_cast<std::size_t>(config_.max_drain_batch));
+      if (drain_buffer_.empty()) {
+        if (solve_in_flight_.load(std::memory_order_relaxed)) {
+          // Poll for solver completion at a fine grain; the inbox doorbell
+          // cannot signal it.
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        } else {
+          inbox_.WaitNonEmpty(config_.idle_wait_ns);
+        }
+        continue;
       }
-      continue;
+      HandleBatch(drain_buffer_, nullptr);
     }
-    HandleBatch(drain_buffer_, nullptr);
+    FinishOutstanding();
+  } catch (...) {
+    // Every threaded-mode decision runs inside this try, and a solve that
+    // threw on the pool is rethrown here by CheckAsyncCompletion. Keep the
+    // first error for Stop() and stop deciding; an in-flight solve still
+    // reads this service, so wait it out before the thread ends.
+    error_ = std::current_exception();
+    AwaitSolve();
   }
-  FinishOutstanding();
+}
+
+void ControllerService::AwaitSolve() const {
+  while (solve_in_flight_.load(std::memory_order_relaxed) &&
+         !solve_done_.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
 }
 
 void ControllerService::FinishOutstanding() {
@@ -335,10 +338,7 @@ void ControllerService::FinishOutstanding() {
   // everything left synchronously (no new async solves).
   config_.async_full_solve = false;
   for (;;) {
-    while (solve_in_flight_.load(std::memory_order_relaxed) &&
-           !solve_done_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    AwaitSolve();
     CheckAsyncCompletion();
     drain_buffer_.clear();
     if (inbox_.DrainInto(drain_buffer_, static_cast<std::size_t>(
@@ -351,15 +351,24 @@ void ControllerService::FinishOutstanding() {
   // through the synchronous path so no decision is lost.
   if (staged_.has_latest()) {
     const CycleCapture* capture = staged_.Acquire();
-    CycleSolution solution = controller_->SolveCycle(capture->snapshot);
-    controller_->set_next_cycle_trigger("event");
-    controller_->CommitCycle(*capture, std::move(solution),
-                             std::max(now_, capture->now), nullptr);
-    staged_.Release();
-    ++counters_.full_cycles;
-    ObserveLatencies(staged_stamps_);
-    staged_stamps_.clear();
+    CommitFullCycle(*capture, controller_->SolveCycle(capture->snapshot),
+                    staged_stamps_);
   }
+}
+
+void ControllerService::CommitFullCycle(const CycleCapture& capture,
+                                        CycleSolution solution,
+                                        std::vector<std::uint64_t>& stamps) {
+  controller_->set_next_cycle_trigger("event");
+  controller_->CommitCycle(capture, std::move(solution),
+                           std::max(now_, capture.now), nullptr);
+  staged_.Release();
+  ++counters_.full_cycles;
+  if (config_.metrics != nullptr) {
+    config_.metrics->counter("svc.decisions.cycle").Increment();
+  }
+  ObserveLatencies(stamps);
+  stamps.clear();
 }
 
 void ControllerService::Start() {
@@ -372,6 +381,7 @@ void ControllerService::Stop() {
   thread_.request_stop();
   thread_.join();
   thread_ = std::jthread();
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 void ControllerService::ObserveLatencies(
@@ -379,7 +389,7 @@ void ControllerService::ObserveLatencies(
   if (config_.metrics == nullptr || stamps.empty()) return;
   obs::Histogram& h =
       config_.metrics->histogram("svc.event_to_decision_seconds");
-  const std::uint64_t end = NowNs();
+  const std::uint64_t end = obs::MonotonicNs();
   for (const std::uint64_t start : stamps) {
     h.Observe(start < end ? static_cast<double>(end - start) * 1e-9 : 0.0);
   }

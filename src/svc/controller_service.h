@@ -28,7 +28,9 @@
 //     non-blocking TrySubmit, so state ingestion and sub-cycle repairs
 //     continue while the solver runs; the commit happens back on the
 //     control thread. Structural events (fault/restore) are deferred while
-//     a solve is in flight so world mutations never race the solver.
+//     a solve is in flight so world mutations never race the solver. A
+//     decision that throws — on the control thread or in the pool's solve
+//     task — stops the service deciding; Stop() rethrows it.
 //
 // Observability (optional MetricsRegistry): the event-to-decision latency
 // histogram (p50/p95/p99 via the obs quantile export), inbox depth gauge,
@@ -40,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <thread>
@@ -122,7 +125,9 @@ class ControllerService {
   void Pump(Simulation& sim);
 
   /// Threaded mode: start/stop the control thread. Stop drains the inbox,
-  /// waits out an in-flight solve and commits it, then joins.
+  /// waits out an in-flight solve and commits it, then joins. If a decision
+  /// threw, the service stopped deciding there; Stop rethrows that first
+  /// exception after the join (the destructor logs it instead).
   void Start();
   void Stop();
 
@@ -159,10 +164,14 @@ class ControllerService {
   /// Commits a finished async solve, replays deferred structural batches,
   /// and launches the next staged solve. No-op while the solve runs.
   void CheckAsyncCompletion();
+  /// Blocks until no solve task is running on the pool.
+  void AwaitSolve() const;
   void FinishOutstanding();
+  /// Commits `solution` for the staged `capture`, releases the staging
+  /// slot, counts the cycle and observes (then clears) `stamps`.
+  void CommitFullCycle(const CycleCapture& capture, CycleSolution solution,
+                       std::vector<std::uint64_t>& stamps);
   void ObserveLatencies(const std::vector<std::uint64_t>& stamps);
-
-  static std::uint64_t NowNs();
 
   ApcController* controller_;
   Config config_;
@@ -173,14 +182,20 @@ class ControllerService {
 
   // Async full-solve state. The double buffer stages captures (written by
   // the control thread, read by the solver task); `solving_`/`solution_`
-  // hand the result back, published by the release-store to `solve_done_`.
+  // (or `solve_error_`, when the solve threw) hand the result back,
+  // published by the release-store to `solve_done_`.
   DoubleBuffer<CycleCapture> staged_;
   std::vector<std::uint64_t> staged_stamps_;
   std::atomic<bool> solve_in_flight_{false};
   std::atomic<bool> solve_done_{false};
   const CycleCapture* solving_ = nullptr;
   CycleSolution solution_;
+  std::exception_ptr solve_error_;
   std::vector<std::uint64_t> inflight_stamps_;
+
+  /// The first exception a threaded-mode decision threw; written by the
+  /// control thread, rethrown by Stop() after the join.
+  std::exception_ptr error_;
 
   /// Structural batches deferred while a solve is in flight (events kept
   /// verbatim; replayed through HandleBatch after the commit).

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <latch>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "obs/metrics.h"
 #include "svc/controller_service.h"
 #include "svc/event_inbox.h"
+#include "web/workload_generator.h"
 
 namespace mwp {
 namespace {
@@ -347,6 +352,92 @@ TEST(ControllerServiceStressTest, BadKarmaConfigRejectedBeforeAsyncSolve) {
   service.Stop();
   EXPECT_EQ(service.counters().full_cycles, 1u);
   EXPECT_EQ(controller.cycles().size(), 1u);
+}
+
+/// A tx load profile whose rate is NaN: CaptureCycle accepts it, and the
+/// solve then fails the queuing model's `arrival_rate > 0.0` check.
+class NanRate : public ArrivalRateProfile {
+ public:
+  double RateAt(Seconds) const override {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+};
+
+/// Runs one async full cycle on `pool` for a controller whose solve throws,
+/// and expects Stop() to rethrow the solve's check failure. `path` is the
+/// svc.* counter of the route the solve must have taken.
+void ExpectStopRethrowsSolveError(ThreadPool& pool, const char* path) {
+  ClusterSpec cluster = ClusterSpec::Uniform(
+      4, NodeSpec{/*num_cpus=*/4, /*cpu_speed_mhz=*/3'000.0,
+                  /*memory_mb=*/8'192.0});
+  JobQueue queue;
+  ApcController::Config cfg;
+  cfg.costs = VmCostModel::Free();
+  ApcController controller(&cluster, &queue, cfg);
+  TransactionalAppSpec tx;
+  tx.id = 1;
+  tx.name = "tx";
+  tx.memory_per_instance = 1'024.0;
+  tx.response_time_goal = 0.5;
+  tx.demand_per_request = 250.0;
+  tx.min_response_time = 0.05;
+  controller.AddTransactionalApp(tx, std::make_shared<NanRate>());
+
+  obs::MetricsRegistry metrics;
+  ControllerService::Config svc_cfg;
+  svc_cfg.async_full_solve = true;
+  svc_cfg.solver_pool = &pool;
+  svc_cfg.metrics = &metrics;
+  ControllerService service(&controller, svc_cfg);
+  service.Start();
+  ControlEvent shift;
+  shift.kind = ControlEventKind::kTxLoadShift;
+  shift.tx_index = 0;
+  while (!service.Publish(shift)) std::this_thread::yield();
+  // Let the control thread route the solve first: a shift still in the
+  // inbox at Stop() would become a synchronous shutdown cycle instead.
+  const obs::Counter& routed = metrics.counter(path);
+  for (int i = 0; i < 10'000 && routed.value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(routed.value(), 1u) << path;
+  try {
+    service.Stop();
+    ADD_FAILURE() << "Stop() returned without rethrowing the solve's error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("arrival_rate > 0.0"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(service.counters().full_cycles, 0u);
+  EXPECT_TRUE(controller.cycles().empty());
+}
+
+// A threaded-mode solve that throws must neither hang Stop() (the pool
+// drops a task's exception, so the service would wait for the solve
+// forever) nor terminate the process (the inline fallback throws on the
+// control thread). The service keeps the error and Stop() rethrows it.
+TEST(ControllerServiceTest, ThrowingSolveSurfacesFromStop) {
+  {
+    // The pool takes the solve: it throws on the worker.
+    ThreadPool pool(1);
+    ExpectStopRethrowsSolveError(pool, "svc.async_solves");
+  }
+  {
+    // The pool's worker and its one-deep slot are both held, so TrySubmit
+    // refuses and the service solves inline on its control thread.
+    std::latch release(1);
+    ThreadPool pool(1);
+    // TrySubmit also refuses while the pool lock is contended, so retry.
+    // The second task is accepted only once the worker has taken the first.
+    for (int task = 0; task < 2; ++task) {
+      while (!pool.TrySubmit([&release] { release.wait(); })) {
+        std::this_thread::yield();
+      }
+    }
+    ExpectStopRethrowsSolveError(pool, "svc.pool_saturated_fallbacks");
+    release.count_down();
+  }
 }
 
 }  // namespace

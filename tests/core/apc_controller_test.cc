@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -537,6 +538,17 @@ TEST(ApcControllerConfigTest, InvalidFieldsThrowAtConstruction) {
              FairnessObjectiveKind::kProportionalFairness;
          c.optimizer.evaluator.objective.pf_epsilon = 0.0;
        }},
+      {"costs.suspend_s_per_mb",
+       [](Config& c) {
+         c.costs.suspend_s_per_mb = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"costs.resume_s_per_mb",
+       [](Config& c) { c.costs.resume_s_per_mb = -0.01; }},
+      {"costs.migrate_s_per_mb",
+       [](Config& c) {
+         c.costs.migrate_s_per_mb = std::numeric_limits<double>::infinity();
+       }},
+      {"costs.boot_s", [](Config& c) { c.costs.boot_s = -1.0; }},
   };
   const ClusterSpec cluster = SmallCluster();
   JobQueue queue;

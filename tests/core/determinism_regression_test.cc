@@ -1,5 +1,5 @@
 // Regression tests for the determinism-audit fixes (see
-// tools/analysis/determinism_audit.py and docs/ALGORITHMS.md §15): the
+// tools/analysis/determinism_audit.py and docs/ALGORITHMS.md §10): the
 // audited changes — const-qualifying HypColumnCache's evaluation context
 // and EventInbox's ring mask, and the allowlisted timing accumulations in
 // the sharded optimizer — must leave every decision bit-for-bit unchanged.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace mwp {
 namespace {
 
@@ -126,6 +129,21 @@ TEST(FcfsSchedulerTest, BootCostCharged) {
   h.scheduler.AdvanceJobsTo(h.sim.now());
   ASSERT_EQ(h.queue.num_completed(), 1u);
   EXPECT_NEAR(*h.queue.Find(1)->completion_time(), 4.0 + 3.6, 1e-6);
+}
+
+// A bad cost model is rejected when the scheduler is built, not when the
+// first start charges it.
+TEST(FcfsSchedulerTest, InvalidCostModelThrowsAtConstruction) {
+  const ClusterSpec cluster = SmallCluster();
+  JobQueue queue;
+  BaselineScheduler::Config cfg;
+  cfg.costs.boot_s = -1.0;
+  EXPECT_THROW({ FcfsScheduler s(&cluster, &queue, cfg); },
+               std::logic_error);
+  cfg.costs.boot_s = 0.0;
+  cfg.costs.migrate_s_per_mb = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW({ FcfsScheduler s(&cluster, &queue, cfg); },
+               std::logic_error);
 }
 
 TEST(FcfsSchedulerTest, DispatchOnCompletionEvent) {

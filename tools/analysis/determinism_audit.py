@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Determinism and lock-order auditor for the mixed-workload-placement tree.
+"""Determinism, convention and lock-order auditor for the
+mixed-workload-placement tree: the tree's one checker.
 
 The replay harness (docs/ALGORITHMS.md §12) re-executes recorded optimizer
 inputs and diffs decisions at zero tolerance; the sharded optimizer promises
 thread-count-invariant solves; the event-driven service promises quiescent
 bit-exactness. All three rest on one unchecked invariant: decision-path code
-must be deterministic. `mwp_lint.py` enforces line-level conventions by
-regex; this auditor works at the AST level (token/scope analysis in the
-builtin engine, real clang AST via libclang when available) and enforces the
-hazards regexes cannot see:
+must be deterministic. Two engines find the AST-level hazards (token/scope
+analysis in the builtin engine, real clang AST via libclang when
+available); the line rules (AUD-D5, AUD-C1..C3) are regexes over
+comment-stripped lines that the driver runs once per file whichever engine
+ran. Scope: src/, bench/ and examples/.
 
 AUD-D1  Unordered-container iteration order. Range-for / `.begin()`
         traversal of a `std::unordered_map`/`unordered_set` feeds
@@ -23,9 +25,10 @@ AUD-D2  Address-based ordering. Comparators that compare pointer *values*
         `// audit: address-stable(<reason>)`.
 AUD-D3  Nondeterministic sources in decision code. `std::random_device`,
         `rand()`/`srand()`, `time(nullptr)` and `std::chrono::*_clock::now`
-        — including calls through type aliases (`using Clock = ...`), which
-        the regex linter cannot follow. The solver stopwatches are
-        observability-only and carry `// audit: wall-clock-ok(<reason>)`.
+        — including calls through type aliases (`using Clock = ...`). The
+        tree's one host-clock read, `obs::MonotonicNs` in
+        src/obs/stopwatch.h (observability only), carries
+        `// audit: wall-clock-ok(<reason>)`.
 AUD-D4  Order-dependent accumulation in parallel lanes. A compound
         assignment (`+=`, `-=`, `*=`, `/=`) to state captured by a lambda
         that runs on the ThreadPool (`ParallelFor` / `TrySubmit`) is either
@@ -33,6 +36,11 @@ AUD-D4  Order-dependent accumulation in parallel lanes. A compound
         (floating-point addition is not associative). Write per-index slots
         and reduce in index order, or justify with
         `// audit: order-fixed(<reason>)`.
+AUD-D5  Raw standard RNG engines (`std::mt19937(_64)`, `minstd_rand(0)`,
+        `ranlux*`, `knuth_b`, `default_random_engine`): every draw flows
+        through the one seeded engine in common/rng.h, which carries
+        `// audit: rng-engine-ok(<reason>)`. A tag of its own keeps a clock
+        annotation from excusing an engine. Line rule.
 AUD-L1  GUARDED_BY coverage. In a class that owns a `Mutex`, every mutable
         co-located field must name its guard (`MWP_GUARDED_BY` /
         `MWP_PT_GUARDED_BY`) or be exempt by construction (const, atomic,
@@ -44,22 +52,32 @@ AUD-L2  Lock-order cycles. A directed graph is mined from the nesting of
         `MWP_ACQUIRED_BEFORE(...)` edges; any cycle is a potential
         deadlock. Suppress a single intentionally-reversed edge with
         `// audit: lock-order-ok(<reason>)` on the inner acquisition.
+AUD-C1  Raw `assert`: contract violations throw through
+        `MWP_CHECK`/`MWP_DCHECK`, which carry file/line/message context and
+        stay active in Release. Line rule, no tag.
+AUD-C2  iostream in the hot-path modules src/core/ and src/rpf/: log
+        through MWP_LOG_* (leveled, mutex-guarded). Line rule, no tag.
+AUD-C3  Units at API boundaries: headers declare time-like quantities as
+        `Seconds` (common/units.h), not raw `double`; dimensionless names
+        (factor, ratio, rate, ...) are exempt. Line rule, no tag.
 AUD900  Stale allowlist: an `// audit:` annotation that suppresses no
         finding is an error — allowlists must shrink with the code.
 AUD901  Malformed allowlist: unknown tag or empty reason.
 
-Allowlist grammar: `// audit: <tag>(<reason>)` on the flagged line, or on
-its own comment line directly above. Tags: order-insensitive,
-address-stable, wall-clock-ok, order-fixed, not-guarded, lock-order-ok.
-The reason is mandatory; the tool verifies every annotation attaches to a
-real finding (AUD900 otherwise).
+Allowlist grammar, the only one: `// audit: <tag>(<reason>)` on the
+flagged line, or on its own comment line directly above. Tags:
+order-insensitive, address-stable, wall-clock-ok, order-fixed,
+rng-engine-ok, not-guarded, lock-order-ok. The reason is mandatory; the
+tool verifies every annotation attaches to a real finding (AUD900
+otherwise). Rules without a tag have no exceptions.
 
 Engines:
   --engine builtin    pure-Python token/scope analysis (no dependencies)
   --engine libclang   clang.cindex over compile_commands.json
   --engine auto       libclang when importable, builtin otherwise (default)
-Both engines feed the same rule set and allowlist machinery; the self-test
-corpus (tools/analysis/corpus/) pins their findings to a golden JSON.
+Both engines feed the same rule set, line rules and allowlist machinery;
+the self-test corpus (tools/analysis/corpus/) pins their findings to a
+golden JSON.
 
 Usage:
     determinism_audit.py [--root DIR] [--compdb build/compile_commands.json]
@@ -88,11 +106,15 @@ TAG_TO_RULE = {
     "address-stable": "AUD-D2",
     "wall-clock-ok": "AUD-D3",
     "order-fixed": "AUD-D4",
+    "rng-engine-ok": "AUD-D5",
     "not-guarded": "AUD-L1",
     "lock-order-ok": "AUD-L2",
 }
 
-AUDIT_DIRS = ("src",)
+RULE_CLASSES = ("AUD-D1", "AUD-D2", "AUD-D3", "AUD-D4", "AUD-D5", "AUD-L1",
+                "AUD-L2", "AUD-C1", "AUD-C2", "AUD-C3")
+
+AUDIT_DIRS = ("src", "bench", "examples")
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 
 UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
@@ -242,6 +264,60 @@ def skip_template_group(tokens, i):
             return i  # never closed: not a template argument list
         j += 1
     return i
+
+
+# --- line rules -------------------------------------------------------------
+
+RAW_ENGINE = re.compile(r"std::(minstd_rand0?|mt19937(_64)?|ranlux\d+(_48)?|"
+                        r"knuth_b|default_random_engine)\b")
+RAW_ASSERT = re.compile(r"(?<![\w_])assert\s*\(")
+IOSTREAM = re.compile(r"#\s*include\s*<iostream>|std::(cout|cerr|clog)\b")
+HOT_PATH_DIRS = ("src/core/", "src/rpf/")
+# Time-like names that a header must declare `Seconds`, unless the name
+# marks them dimensionless.
+TIME_LIKE_DOUBLE = re.compile(
+    r"\bdouble\s+(?P<name>\w*(?:_time|_seconds|response_time|deadline|"
+    r"duration|timeout)\w*|time|deadline|duration|timeout)\s*[;=,)]")
+DIMENSIONLESS_NAME = re.compile(
+    r"factor|ratio|fraction|rate|satisf|scale|per_|_per|weight|share")
+
+
+def line_findings(root: Path, files: list[Path]) -> list[Finding]:
+    """AUD-D5 and AUD-C1..C3 over every file, at most one finding per rule
+    and line. Unreadable files are skipped here; the builtin engine reports
+    them as AUD000."""
+    findings = []
+    for path in files:
+        rel = path.relative_to(root).as_posix()
+        try:
+            code_lines, _ = preprocess(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError):
+            continue
+        for line_no, line in enumerate(code_lines, start=1):
+            if RAW_ENGINE.search(line):
+                findings.append(Finding(
+                    "AUD-D5", rel, line_no,
+                    "raw standard RNG engine: every draw flows through the "
+                    "one seeded engine in common/rng.h; draw from mwp::Rng "
+                    "or justify with // audit: rng-engine-ok(<reason>)"))
+            if RAW_ASSERT.search(line) and "static_assert" not in line:
+                findings.append(Finding(
+                    "AUD-C1", rel, line_no,
+                    "raw assert(); use MWP_CHECK (always on) or MWP_DCHECK "
+                    "(hot paths) from common/check.h"))
+            if rel.startswith(HOT_PATH_DIRS) and IOSTREAM.search(line):
+                findings.append(Finding(
+                    "AUD-C2", rel, line_no,
+                    "iostream in a hot-path module; use MWP_LOG_* from "
+                    "common/log.h"))
+            match = TIME_LIKE_DOUBLE.search(line) if rel.endswith(".h") \
+                else None
+            if match and not DIMENSIONLESS_NAME.search(match.group("name")):
+                findings.append(Finding(
+                    "AUD-C3", rel, line_no,
+                    f"time-like '{match.group('name')}' declared as raw "
+                    "double; use the Seconds alias from common/units.h"))
+    return findings
 
 
 # --- builtin engine ---------------------------------------------------------
@@ -1594,7 +1670,8 @@ def libclang_available() -> bool:
 
 def run_engine(engine_name: str, root: Path, files: list[Path],
                compdb: Path | None):
-    """Returns (engine_used, findings) after allowlist application.
+    """Returns (engine_used, findings) after allowlist application. The line
+    rules run once per file after the engine, whichever it was.
 
     `auto` always runs the builtin engine and, when clang.cindex is
     importable and a compilation database exists, unions in the libclang
@@ -1638,6 +1715,7 @@ def run_engine(engine_name: str, root: Path, files: list[Path],
                 raise
             print(f"determinism_audit: libclang engine failed ({err}); "
                   "continuing with builtin findings only", file=sys.stderr)
+    findings.extend(line_findings(root, files))
     findings = apply_allowlist(findings, annotations, observed, declared)
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return chosen, findings
@@ -1672,9 +1750,7 @@ def run_self_test(script_dir: Path) -> int:
         return 1
     files = [p for p in sorted(corpus.rglob("*"))
              if p.suffix in SOURCE_SUFFIXES]
-    engine = BuiltinEngine(corpus, files)
-    findings, annotations, observed, declared = engine.run()
-    findings = apply_allowlist(findings, annotations, observed, declared)
+    _, findings = run_engine("builtin", corpus, files, None)
     got = sorted([f.rule, f.file, f.line, f.allowlisted] for f in findings)
     golden = json.loads(golden_path.read_text(encoding="utf-8"))
     want = sorted([g["rule"], g["file"], g["line"], g["allowlisted"]]
@@ -1691,16 +1767,16 @@ def run_self_test(script_dir: Path) -> int:
             if row not in got:
                 print(f"  missing:    {row}", file=sys.stderr)
     # Every rule class must fire at least once as a non-allowlisted positive
-    # AND be exercised by an allowlisted negative — a silently dead rule
-    # cannot keep the gate green.
-    for rule in ("AUD-D1", "AUD-D2", "AUD-D3", "AUD-D4", "AUD-L1", "AUD-L2"):
+    # AND, where it has a tag, be exercised by an allowlisted negative — a
+    # silently dead rule cannot keep the gate green.
+    for rule in RULE_CLASSES:
         pos = any(f.rule == rule and not f.allowlisted for f in findings)
         neg = any(f.rule == rule and f.allowlisted for f in findings)
         if not pos:
             failures += 1
             print(f"self-test FAILED: no seeded positive for {rule}",
                   file=sys.stderr)
-        if not neg:
+        if rule in TAG_TO_RULE.values() and not neg:
             failures += 1
             print(f"self-test FAILED: no allowlisted negative for {rule}",
                   file=sys.stderr)
@@ -1720,20 +1796,21 @@ def run_self_test(script_dir: Path) -> int:
                    for p in files]
         compdb.write_text(json.dumps(entries), encoding="utf-8")
         try:
-            eng = LibclangEngine(corpus, files, compdb)
+            # No path prefix filter: the corpus root is not a repo root.
+            eng = LibclangEngine(corpus, files, compdb, restrict_prefixes=())
             lf, la, lo, ld = eng.run()
-            lf = apply_allowlist(lf, la, lo, ld)
+            lf = apply_allowlist(lf + line_findings(corpus, files), la, lo,
+                                 ld)
             lc_rules = {f.rule for f in lf}
-            missing = [r for r in ("AUD-D1", "AUD-D2", "AUD-D3", "AUD-D4",
-                                   "AUD-L1", "AUD-L2") if r not in lc_rules]
+            missing = [r for r in RULE_CLASSES if r not in lc_rules]
             if missing:
                 failures += 1
                 print("self-test FAILED: libclang engine misses rule "
                       f"class(es) on the corpus: {', '.join(missing)}",
                       file=sys.stderr)
             else:
-                print("self-test: libclang engine detects all 6 rule "
-                      "classes on the corpus")
+                print(f"self-test: libclang engine detects all "
+                      f"{len(RULE_CLASSES)} rule classes on the corpus")
         except Exception as err:
             print(f"self-test: libclang engine unavailable ({err}); "
                   "builtin-only run", file=sys.stderr)
@@ -1745,7 +1822,8 @@ def run_self_test(script_dir: Path) -> int:
     n_pos = sum(1 for f in findings if not f.allowlisted
                 and f.rule.startswith("AUD-"))
     n_neg = sum(1 for f in findings if f.allowlisted)
-    print(f"determinism_audit self-test: all 6 rule classes fire "
+    print(f"determinism_audit self-test: all {len(RULE_CLASSES)} rule "
+          "classes fire "
           f"({n_pos} positives, {n_neg} allowlisted negatives, stale entry "
           "detected)")
     return 0
