@@ -363,10 +363,31 @@ class NanRate : public ArrivalRateProfile {
   }
 };
 
-/// Runs one async full cycle on `pool` for a controller whose solve throws,
-/// and expects Stop() to rethrow the solve's check failure. `path` is the
-/// svc.* counter of the route the solve must have taken.
-void ExpectStopRethrowsSolveError(ThreadPool& pool, const char* path) {
+/// Runs one async full cycle for a controller whose solve throws, and
+/// expects Stop() to rethrow the solve's check failure. The one-worker pool
+/// starts with its worker held in a latch-blocked task, so the pool lock is
+/// uncontended when the service submits. With `slot_taken`, a second
+/// blocked task fills the pool's one-deep slot: TrySubmit refuses and the
+/// service solves inline on its control thread. Without it, the pool takes
+/// the solve and runs it on the worker once the latch opens.
+void ExpectStopRethrowsSolveError(bool slot_taken) {
+  std::latch release(1);
+  std::atomic<bool> worker_held{false};
+  ThreadPool pool(1);
+  // TrySubmit also refuses while the pool lock is contended, so retry.
+  while (!pool.TrySubmit([&] {
+    worker_held.store(true);
+    release.wait();
+  })) {
+    std::this_thread::yield();
+  }
+  while (!worker_held.load()) std::this_thread::yield();
+  if (slot_taken) {
+    while (!pool.TrySubmit([&release] { release.wait(); })) {
+      std::this_thread::yield();
+    }
+  }
+
   ClusterSpec cluster = ClusterSpec::Uniform(
       4, NodeSpec{/*num_cpus=*/4, /*cpu_speed_mhz=*/3'000.0,
                   /*memory_mb=*/8'192.0});
@@ -396,11 +417,13 @@ void ExpectStopRethrowsSolveError(ThreadPool& pool, const char* path) {
   while (!service.Publish(shift)) std::this_thread::yield();
   // Let the control thread route the solve first: a shift still in the
   // inbox at Stop() would become a synchronous shutdown cycle instead.
-  const obs::Counter& routed = metrics.counter(path);
+  const obs::Counter& routed = metrics.counter(
+      slot_taken ? "svc.pool_saturated_fallbacks" : "svc.async_solves");
   for (int i = 0; i < 10'000 && routed.value() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(routed.value(), 1u) << path;
+  release.count_down();
+  ASSERT_EQ(routed.value(), 1u);
   try {
     service.Stop();
     ADD_FAILURE() << "Stop() returned without rethrowing the solve's error";
@@ -418,26 +441,8 @@ void ExpectStopRethrowsSolveError(ThreadPool& pool, const char* path) {
 // forever) nor terminate the process (the inline fallback throws on the
 // control thread). The service keeps the error and Stop() rethrows it.
 TEST(ControllerServiceTest, ThrowingSolveSurfacesFromStop) {
-  {
-    // The pool takes the solve: it throws on the worker.
-    ThreadPool pool(1);
-    ExpectStopRethrowsSolveError(pool, "svc.async_solves");
-  }
-  {
-    // The pool's worker and its one-deep slot are both held, so TrySubmit
-    // refuses and the service solves inline on its control thread.
-    std::latch release(1);
-    ThreadPool pool(1);
-    // TrySubmit also refuses while the pool lock is contended, so retry.
-    // The second task is accepted only once the worker has taken the first.
-    for (int task = 0; task < 2; ++task) {
-      while (!pool.TrySubmit([&release] { release.wait(); })) {
-        std::this_thread::yield();
-      }
-    }
-    ExpectStopRethrowsSolveError(pool, "svc.pool_saturated_fallbacks");
-    release.count_down();
-  }
+  ExpectStopRethrowsSolveError(/*slot_taken=*/false);  // throws on the worker
+  ExpectStopRethrowsSolveError(/*slot_taken=*/true);   // throws inline
 }
 
 }  // namespace

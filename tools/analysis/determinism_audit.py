@@ -310,8 +310,7 @@ def line_findings(root: Path, files: list[Path]) -> list[Finding]:
                     "AUD-C2", rel, line_no,
                     "iostream in a hot-path module; use MWP_LOG_* from "
                     "common/log.h"))
-            match = TIME_LIKE_DOUBLE.search(line) if rel.endswith(".h") \
-                else None
+            match = rel.endswith(".h") and TIME_LIKE_DOUBLE.search(line)
             if match and not DIMENSIONLESS_NAME.search(match.group("name")):
                 findings.append(Finding(
                     "AUD-C3", rel, line_no,
