@@ -10,13 +10,17 @@ which side runs first. Each checkout builds into its own `.bench_build`. For
 every end-to-end metric it prints each side's median and quartiles, the pairs
 each side won (a tie counts for neither), whether the medians differ by more
 than the parent's interquartile range (IQR), the change/parent ratio of the
-medians, and a verdict:
+medians, the wider of the two sides' spreads (IQR over median), and a
+verdict, the first of these that applies:
 
-  gain   the change won at least 9 of every 10 pairs, and its median is
-         better than the parent's by more than the parent's IQR;
-  worse  the change's median is worse than the parent's by more than the
-         metric's bound in the parent's BENCHMARK.json;
-  -      neither.
+  gain        the change won at least 9 of every 10 pairs, and its median
+              is better than the parent's by more than the parent's IQR;
+  worse       the change's median is worse than the parent's by more than
+              the metric's bound in the parent's BENCHMARK.json;
+  unresolved  either side's spread exceeds that bound and some change run
+              is no better than some parent run: the runs cannot show the
+              metric unchanged;
+  -           none of these.
 
 It prints every run's correct/failed status and metrics, and exits 1 if any
 run was incorrect, failed a check or printed no result. It only reads
@@ -69,6 +73,11 @@ def quartiles(values):
     return q1, median, q3
 
 
+def relative_spread(q1, median, q3):
+    """IQR over median; infinite when the median is zero."""
+    return (q3 - q1) / abs(median) if median else float("inf")
+
+
 def summarize(pairs, specs):
     """One row per metric in `specs` ({name: (better, bound)}) over `pairs`,
     a list of {"parent": metrics, "change": metrics} dicts."""
@@ -87,11 +96,16 @@ def summarize(pairs, specs):
         change_wins = sum(sign * (b - a) < 0 for a, b in both)
         parent_wins = sum(sign * (b - a) > 0 for a, b in both)
         beyond_iqr = abs(c_med - p_med) > p_q3 - p_q1
+        spread = max(relative_spread(p_q1, p_med, p_q3),
+                     relative_spread(c_q1, c_med, c_q3))
+        separated = all(sign * b < sign * a for a in parent for b in change)
         if 10 * change_wins >= 9 * len(both) and beyond_iqr and \
                 sign * (c_med - p_med) < 0:
             verdict = "gain"
         elif sign * (c_med - p_med) > bound * abs(p_med):
             verdict = "worse"
+        elif spread > bound and not separated:
+            verdict = "unresolved"
         else:
             verdict = "-"
         rows.append({
@@ -100,6 +114,7 @@ def summarize(pairs, specs):
             "change_wins": change_wins, "parent_wins": parent_wins,
             "beyond_parent_iqr": beyond_iqr,
             "ratio": c_med / p_med if p_med else float("inf"),
+            "spread": spread,
             "verdict": verdict,
         })
     return rows
@@ -112,13 +127,13 @@ def print_rows(rows):
 
     print(f"{'metric':<20} {'parent median [q1, q3]':<26} "
           f"{'change median [q1, q3]':<26} {'wins c/p':<13} "
-          f"{'>IQR':<5} {'ratio':<7} verdict")
+          f"{'>IQR':<5} {'ratio':<7} {'spread':<7} verdict")
     for r in rows:
         wins = f"{r['change_wins']}/{r['parent_wins']} of {r['pairs']}"
         beyond = "yes" if r["beyond_parent_iqr"] else "no"
         print(f"{r['metric']:<20} {spread(r['parent']):<26} "
               f"{spread(r['change']):<26} {wins:<13} {beyond:<5} "
-              f"{r['ratio']:<7.3f} {r['verdict']}")
+              f"{r['ratio']:<7.3f} {r['spread']:<7.1%} {r['verdict']}")
 
 
 def metric_specs(checkout):
@@ -148,13 +163,25 @@ def self_test():
          and verdict(parent, [5.0] * 8 + [10.0] * 2)["parent_wins"] == 0),
         ("9 wins and a tie is a gain",
          verdict(parent, [5.0] * 9 + [10.0])["verdict"] == "gain"),
-        ("10/10 wins inside the parent's IQR is not a gain",
-         verdict([10.0, 20.0] * 5, [9.9, 19.9] * 5)["verdict"] == "-"),
+        ("10/10 wins inside a wide parent IQR is unresolved, not a gain",
+         verdict([10.0, 20.0] * 5, [9.9, 19.9] * 5)["verdict"]
+         == "unresolved"),
         ("higher-is-better metrics win upward",
          summarize([{"parent": {"t": 1.0}, "change": {"t": 2.0}}] * 10,
                    {"t": ("higher", 0.25)})[0]["verdict"] == "gain"),
         ("a median worse by more than the bound is flagged",
          verdict(parent, [12.6] * 10)["verdict"] == "worse"),
+        ("wide overlapping runs are unresolved",
+         verdict([10.0, 14.0] * 5, [10.5, 13.5] * 5)["verdict"]
+         == "unresolved"),
+        ("a wide spread on the change side alone is unresolved",
+         verdict(parent, [8.0, 12.0] * 5)["verdict"] == "unresolved"),
+        ("wide runs where every change run is better are not unresolved",
+         verdict([10.0, 20.0] * 5, [9.0, 9.5] * 5)["verdict"] == "-"),
+        ("a median worse by more than the bound stays worse when wide",
+         verdict([10.0, 14.0] * 5, [16.0, 20.0] * 5)["verdict"] == "worse"),
+        ("narrow runs are unchanged",
+         verdict([10.0, 10.5] * 5, [10.2, 10.6] * 5)["verdict"] == "-"),
         ("a run with a failed check is not ok",
          not run_ok({"returncode": 1, "correct": False, "failed": 2})),
         ("a run without a result is not ok",
