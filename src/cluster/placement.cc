@@ -14,8 +14,9 @@ std::vector<int> PlacementMatrix::NodesOf(int app) const {
 }
 
 int FirstNodeOf(const PlacementMatrix& p, int app) {
+  const int* row = p.RowData(app);
   for (int n = 0; n < p.num_nodes(); ++n) {
-    if (p.at(app, n) > 0) return n;
+    if (row[n] > 0) return n;
   }
   return kInvalidNode;
 }

@@ -97,6 +97,9 @@ struct EvalScratch {
     const HypotheticalRpf::Column* col = nullptr;
   };
   std::vector<ColumnMemo> last_columns;
+  /// The evaluator whose column cache last_columns points into (its
+  /// NewScratchOwnerId; 0: none). Another evaluator drops the memo.
+  std::uint64_t owner_id = 0;
 };
 
 }  // namespace mwp

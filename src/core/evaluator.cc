@@ -121,6 +121,12 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
       // from-scratch constructor path.
       std::vector<const HypotheticalRpf::Column*>& cols = scratch.columns;
       cols.resize(hyp_jobs.size());
+      if (scratch.owner_id != id_) {
+        // Scratch last used with a different evaluator: its memo points
+        // into that evaluator's column cache.
+        scratch.owner_id = id_;
+        scratch.last_columns.clear();
+      }
       if (scratch.last_columns.size() !=
           static_cast<std::size_t>(snap.num_jobs())) {
         scratch.last_columns.assign(static_cast<std::size_t>(snap.num_jobs()),

@@ -30,6 +30,7 @@
 // outcome Compare would reach, at a fraction of the cost.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -130,6 +131,9 @@ class PlacementEvaluator {
  private:
   const PlacementSnapshot* snapshot_;
   Options options_;
+  /// NewScratchOwnerId(): tells a scratch whether its column memo is this
+  /// evaluator's.
+  std::uint64_t id_ = NewScratchOwnerId();
   LoadDistributor distributor_;
   /// The resolved sampling grid (options_.grid or the default).
   std::vector<double> grid_;

@@ -1,6 +1,7 @@
 #include "core/load_distributor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -72,6 +73,11 @@ struct LoadDistributor::FillEntity {
   }
 };
 
+std::uint64_t NewScratchOwnerId() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 void LoadDistributor::Options::Validate() const {
   MWP_CHECK(level_tolerance > 0.0);
   MWP_CHECK(probe_delta > 0.0);
@@ -118,19 +124,16 @@ std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
     // job instances. Per-node caps accumulate jobs in index order (the
     // addition order determines the exact double). The hosting node of
     // each job is recorded on the way for the final decomposition.
+    // Distribute's feasibility precondition leaves a job at most one
+    // instance, so each row scan stops at the job's node.
     FillEntity batch;
     std::vector<MHz> node_cap(static_cast<std::size_t>(snap.num_nodes()), 0.0);
     scratch.job_node.assign(static_cast<std::size_t>(snap.num_jobs()), -1);
     for (int j = 0; j < snap.num_jobs(); ++j) {
-      const int entity = snap.EntityOfJob(j);
-      const MHz stage_max = StageMaxSpeed(snap.job(j));
-      const int* row = p.RowData(entity);
-      for (int n = 0; n < snap.num_nodes(); ++n) {
-        if (row[n] > 0) {
-          node_cap[static_cast<std::size_t>(n)] += stage_max;
-          scratch.job_node[static_cast<std::size_t>(j)] = n;
-        }
-      }
+      const int n = FirstNodeOf(p, snap.EntityOfJob(j));
+      if (n == kInvalidNode) continue;
+      node_cap[static_cast<std::size_t>(n)] += StageMaxSpeed(snap.job(j));
+      scratch.job_node[static_cast<std::size_t>(j)] = n;
     }
     for (int n = 0; n < snap.num_nodes(); ++n) {
       if (node_cap[static_cast<std::size_t>(n)] > 0.0) {
@@ -224,6 +227,33 @@ void LoadDistributor::PrepareFlowNetwork(
       if (e.edge_caps[k] > 0.0) count_arc(1 + i, node_vertex(e.nodes[k]));
     }
   }
+  // A node is shared when arcs from two fill entities reach it: its degree
+  // so far counts exactly those arcs.
+  scratch.shared_node = false;
+  for (int n = 0; n < num_nodes; ++n) {
+    if (At(begin, node_vertex(n) + 1) > 1) scratch.shared_node = true;
+  }
+  if (!scratch.shared_node) {
+    // No network: each entity's usable arcs in ascending node order, with
+    // the bottleneck phase 1 meets on them before the demand's own.
+    scratch.direct_begin.assign(1, 0);
+    scratch.direct_node.clear();
+    scratch.direct_limit.clear();
+    scratch.direct_cap.clear();
+    for (const FillEntity& e : entities) {
+      for (std::size_t k = 0; k < e.nodes.size(); ++k) {
+        const MHz cpu = snap.NodeAvailableCpu(e.nodes[k]);
+        const MHz cap = e.edge_caps[k];
+        if (cap <= kFlowEps || cpu <= kFlowEps) continue;
+        scratch.direct_node.push_back(e.nodes[k]);
+        scratch.direct_limit.push_back(std::min(cpu, cap));
+        scratch.direct_cap.push_back(cap);
+      }
+      scratch.direct_begin.push_back(
+          static_cast<int>(scratch.direct_node.size()));
+    }
+    return;
+  }
   for (int n = 0; n < num_nodes; ++n) {
     if (snap.NodeAvailableCpu(n) > 0.0) count_arc(node_vertex(n), sink);
   }
@@ -288,6 +318,29 @@ bool LoadDistributor::RouteDemands(const std::vector<MHz>& demands,
                     std::vector<MHz>(static_cast<std::size_t>(num_nodes), 0.0));
   }
   if (demand_total <= 0.0) return true;
+
+  if (!scratch.shared_node) {
+    // Phase 1 where every node→sink arc serves one entity: each arc starts
+    // at full capacity, and phase 2 would find no path.
+    double shortfall = 0.0;
+    for (int i = 0; i < e_count; ++i) {
+      double unrouted = At(demands, i);
+      for (int k = At(scratch.direct_begin, i);
+           k < At(scratch.direct_begin, i + 1) && unrouted > kFlowEps; ++k) {
+        const double bottleneck =
+            std::min(At(scratch.direct_limit, k), unrouted);
+        unrouted -= bottleneck;
+        if (routing != nullptr) {
+          // Capacity minus residual, as the network's extraction reads it.
+          const double cap = At(scratch.direct_cap, k);
+          const double f = cap - (cap - bottleneck);
+          if (f > kFlowEps) At(At(*routing, i), At(scratch.direct_node, k)) = f;
+        }
+      }
+      shortfall += unrouted;
+    }
+    return shortfall <= kFeasibilityTol;
+  }
 
   const std::vector<int>& begin = scratch.arc_begin;
   const std::vector<int>& head = scratch.arc_head;
@@ -383,12 +436,35 @@ bool LoadDistributor::RouteDemands(const std::vector<MHz>& demands,
   return shortfall <= kFeasibilityTol;
 }
 
-void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
+void LoadDistributor::DecomposeNodeShare(const std::vector<int>& local_jobs,
                                          int node, MHz share,
+                                         DistributorScratch& scratch,
                                          DistributionResult& result) const {
   const PlacementSnapshot& snap = *snapshot_;
+  ++scratch.stats_.decompositions;
+  DistributorScratch::NodeDecomposition& memo = At(scratch.node_memo, node);
+  const auto share_bits = std::bit_cast<std::uint64_t>(share);
+  if (memo.share_bits == share_bits && memo.jobs == local_jobs) {
+    ++scratch.stats_.decomposition_reuses;
+  } else {
+    memo.share_bits = share_bits;
+    memo.jobs = local_jobs;
+    DecomposeInto(local_jobs, node, share, memo.grants, memo.utilities);
+  }
+  for (std::size_t k = 0; k < local_jobs.size(); ++k) {
+    const int entity = snap.EntityOfJob(local_jobs[k]);
+    result.loads.at(entity, node) = memo.grants[k];
+    result.totals[static_cast<std::size_t>(entity)] = memo.grants[k];
+    result.utilities[static_cast<std::size_t>(entity)] = memo.utilities[k];
+  }
+}
+
+void LoadDistributor::DecomposeInto(const std::vector<int>& local_jobs,
+                                    int node, MHz share,
+                                    std::vector<MHz>& grant,
+                                    std::vector<Utility>& utilities) const {
+  const PlacementSnapshot& snap = *snapshot_;
   struct LocalJob {
-    int entity;
     MHz cap;
     MHz min_alloc;
     JobCompletionRpf rpf;
@@ -407,9 +483,10 @@ void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
     const Utility max_u = rpf.max_utility();
     const MHz cap = StageMaxSpeed(jv);
     const MHz at_max = std::min(cap, rpf.AllocationFor(max_u));
-    local.push_back(LocalJob{snap.EntityOfJob(j), cap, jv.min_speed, rpf,
-                             max_u, at_max});
+    local.push_back(LocalJob{cap, jv.min_speed, rpf, max_u, at_max});
   }
+  grant.assign(local.size(), 0.0);
+  utilities.assign(local.size(), kUtilityFloor);
   if (local.empty()) return;
 
   // Equalize the local jobs' completion RPFs within the share: bisection on
@@ -443,7 +520,6 @@ void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
   // Grant the level demands, then pour any remainder into jobs below cap
   // (they are past their max achievable utility; extra speed still helps
   // them finish sooner but cannot raise the level further).
-  std::vector<MHz> grant(local.size());
   MHz used = 0.0;
   for (std::size_t k = 0; k < local.size(); ++k) {
     grant[k] = demand_at(local[k], level);
@@ -460,10 +536,7 @@ void LoadDistributor::DecomposeNodeShare(std::span<const int> local_jobs,
   for (std::size_t k = 0; k < local.size(); ++k) {
     // A job below its stage minimum speed must pause instead (§4.1).
     if (grant[k] > 0.0 && grant[k] + 1e-9 < local[k].min_alloc) grant[k] = 0.0;
-    const auto entity = static_cast<std::size_t>(local[k].entity);
-    result.loads.at(local[k].entity, node) = grant[k];
-    result.totals[entity] = grant[k];
-    result.utilities[entity] = local[k].rpf.UtilityAt(grant[k]);
+    utilities[k] = local[k].rpf.UtilityAt(grant[k]);
   }
 }
 
@@ -476,14 +549,16 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
   const PlacementSnapshot& snap = *snapshot_;
   MWP_CHECK_MSG(snap.IsFeasible(p), "Distribute requires a feasible placement");
   ++scratch.stats_.distribute_calls;
-  if (scratch.owner != this) {
+  if (scratch.owner_id != id_) {
     // Scratch last used with a different distributor: its memo tables do
     // not apply to this snapshot.
-    scratch.owner = this;
+    scratch.owner_id = id_;
     scratch.batch_demand_memo.clear();
+    scratch.node_memo.clear();
   }
   std::vector<FillEntity> entities = BuildEntities(p, scratch);
   PrepareFlowNetwork(entities, scratch);
+  if (!scratch.shared_node) ++scratch.stats_.unshared_calls;
   const auto num_entities = static_cast<std::size_t>(snap.num_entities());
 
   std::vector<MHz>& demands = scratch.demands;
@@ -636,10 +711,11 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
           const int n = scratch.job_node[static_cast<std::size_t>(j)];
           if (n >= 0) groups[static_cast<std::size_t>(n)].push_back(j);
         }
+        scratch.node_memo.resize(groups.size());
         for (std::size_t n = 0; n < routing[i].size(); ++n) {
           if (routing[i][n] > 0.0) {
             DecomposeNodeShare(groups[n], static_cast<int>(n), routing[i][n],
-                               result);
+                               scratch, result);
           }
         }
         break;

@@ -27,10 +27,12 @@
 // of times per control cycle — so all per-call state lives in a reusable
 // DistributorScratch: the flow network is built once per Distribute as a
 // sparse residual network (only the source→entity demands change between
-// the ~50 feasibility probes of the bisection), and the batch aggregate's
+// the ~50 feasibility probes of the bisection), the batch aggregate's
 // demand curve is memoized across candidates (it depends only on the
-// snapshot, not the placement). All reuse is bit-for-bit neutral: memoized
-// demands are the exact doubles a fresh computation would produce.
+// snapshot, not the placement), and so is each node's last decomposition
+// (it depends only on the node's share and the jobs it hosts). All reuse is
+// bit-for-bit neutral: memoized values are the exact doubles a fresh
+// computation would produce.
 //
 // Each probe is an Edmonds–Karp max-flow over that network, run in two
 // phases that take exactly the augmenting paths, in exactly the order, that
@@ -51,12 +53,19 @@
 //      shrinks, so no direct path reappears. Longer paths need a node
 //      shared between entities: transactional instances beside batch jobs
 //      or beside each other.
+//
+// When no node hosts arcs from two fill entities (every Experiment One
+// call: its one batch entity is alone), phase 2 cannot find a path and
+// phase 1 meets every node→sink arc at its full capacity. Distribute then
+// builds no network: a probe subtracts each entity's demand down its usable
+// arcs, min(node CPU, instance cap, remaining demand) at a time — phase 1's
+// operands, order and update, so every verdict and routed flow is
+// bit-identical.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -101,6 +110,12 @@ class DistributorScratch {
     /// Augmenting paths found by BFS, i.e. rerouting earlier flow through
     /// a reverse arc (direct paths need no search).
     std::uint64_t rerouting_paths = 0;
+    /// Distribute() calls where no node hosts two fill entities, so every
+    /// probe ran without the flow network.
+    std::uint64_t unshared_calls = 0;
+    /// Per-node batch decompositions, and those served by the node memo.
+    std::uint64_t decompositions = 0;
+    std::uint64_t decomposition_reuses = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -109,18 +124,32 @@ class DistributorScratch {
 
   Stats stats_;
 
-  /// Distributor the memo tables belong to; they are cleared when the
-  /// scratch is handed to a different distributor.
-  const void* owner = nullptr;
+  /// Id of the distributor the memo tables belong to (0: none); they are
+  /// cleared when the scratch is handed to a different distributor.
+  std::uint64_t owner_id = 0;
 
-  // Residual network for the current Distribute call. Vertices: source 0,
-  // fill entities 1..E, nodes E+1..E+N, sink E+N+1. An arc exists where a
-  // capacity can: source→entity (the probe's demand), entity→node (instance
-  // cap > 0) and node→sink (available CPU > 0), each paired with a reverse
-  // arc of capacity zero. Arcs are stored CSR, grouped by tail vertex in
-  // ascending head order, so the source's arc to entity i is arc i and each
-  // entity's block opens with its reverse arc to the source. Built in
-  // O(arcs) per Distribute, reset in O(arcs) per probe.
+  /// True when some node hosts arcs from two fill entities; otherwise the
+  /// residual network below is not built and probes walk the direct arcs.
+  bool shared_node = false;
+
+  // Direct arcs for the unshared case, per fill entity (CSR by entity, in
+  // ascending node order): the usable entity→node arcs (instance cap and
+  // node CPU both above the flow epsilon), each with min(node CPU, cap)
+  // and the cap itself.
+  std::vector<int> direct_begin;  // per fill entity, plus an end sentinel
+  std::vector<int> direct_node;
+  std::vector<double> direct_limit;
+  std::vector<double> direct_cap;
+
+  // Residual network for the current Distribute call when a node is
+  // shared. Vertices: source 0, fill entities 1..E, nodes E+1..E+N, sink
+  // E+N+1. An arc exists where a capacity can: source→entity (the probe's
+  // demand), entity→node (instance cap > 0) and node→sink (available CPU
+  // > 0), each paired with a reverse arc of capacity zero. Arcs are stored
+  // CSR, grouped by tail vertex in ascending head order, so the source's
+  // arc to entity i is arc i and each entity's block opens with its reverse
+  // arc to the source. Built in O(arcs) per Distribute, reset in O(arcs)
+  // per probe.
   int vertices = 0;
   int num_fill_entities = 0;
   std::vector<int> arc_begin;        // per vertex, plus an end sentinel
@@ -146,7 +175,24 @@ class DistributorScratch {
   /// aggregate. Valid across candidates because the hypothetical RPF
   /// depends only on the snapshot.
   std::unordered_map<std::uint64_t, MHz> batch_demand_memo;
+
+  /// Last batch decomposition per node, keyed by the bits of the node's
+  /// share and its ascending local job list. Valid across candidates
+  /// because a node's decomposition depends only on those and the
+  /// snapshot. Cleared with batch_demand_memo.
+  struct NodeDecomposition {
+    std::uint64_t share_bits = 0;
+    std::vector<int> jobs;
+    std::vector<MHz> grants;
+    std::vector<Utility> utilities;
+  };
+  std::vector<NodeDecomposition> node_memo;
 };
+
+/// A fresh id for an object whose callers' scratches keep memo tables for
+/// it: never 0 and never reused in the process. Scratches compare it
+/// rather than the owner's address, which a later object can reuse.
+std::uint64_t NewScratchOwnerId();
 
 class LoadDistributor {
  public:
@@ -187,6 +233,9 @@ class LoadDistributor {
 
   const PlacementSnapshot* snapshot_;
   Options options_;
+  /// NewScratchOwnerId(): tells a scratch whether its memos are this
+  /// distributor's.
+  std::uint64_t id_ = NewScratchOwnerId();
   std::unique_ptr<HypotheticalRpf> hypothetical_;
   /// Scratch for the one-argument Distribute overload.
   mutable DistributorScratch scratch_;
@@ -194,7 +243,8 @@ class LoadDistributor {
   std::vector<FillEntity> BuildEntities(const PlacementMatrix& p,
                                         DistributorScratch& scratch) const;
   /// Builds the residual network for the current entity set into
-  /// `scratch`; only source arcs vary per probe.
+  /// `scratch` (only source arcs vary per probe), or only the direct arcs
+  /// when no node is shared.
   void PrepareFlowNetwork(const std::vector<FillEntity>& entities,
                           DistributorScratch& scratch) const;
   /// True when demands (per fill entity, MHz) can be routed within node
@@ -204,11 +254,18 @@ class LoadDistributor {
   bool RouteDemands(const std::vector<MHz>& demands,
                     DistributorScratch& scratch,
                     std::vector<std::vector<MHz>>* routing) const;
-  /// Equalize local jobs' completion RPFs within one node's batch share.
+  /// Equalize local jobs' completion RPFs within one node's batch share,
+  /// or replay the node's memoized result for the same share and jobs.
   /// `local_jobs` holds the snapshot job indices hosted on `node`, in
   /// ascending order.
-  void DecomposeNodeShare(std::span<const int> local_jobs, int node,
-                          MHz share, DistributionResult& result) const;
+  void DecomposeNodeShare(const std::vector<int>& local_jobs, int node,
+                          MHz share, DistributorScratch& scratch,
+                          DistributionResult& result) const;
+  /// The decomposition itself: per local job, its grant and the utility
+  /// its completion RPF gives the grant.
+  void DecomposeInto(const std::vector<int>& local_jobs, int node, MHz share,
+                     std::vector<MHz>& grant,
+                     std::vector<Utility>& utilities) const;
 };
 
 }  // namespace mwp

@@ -168,51 +168,62 @@ AppId PlacementSnapshot::EntityAppId(int entity) const {
 }
 
 bool PlacementSnapshot::IsFeasible(const PlacementMatrix& p) const {
-  MWP_CHECK(p.num_apps() == num_entities());
-  MWP_CHECK(p.num_nodes() == num_nodes());
-  for (int n = 0; n < num_nodes(); ++n) {
-    if (!node_online_[static_cast<std::size_t>(n)]) {
-      // Nothing may be placed on a crashed node; FreeMemory would also fail
-      // (available memory is 0) but only when something there uses memory.
-      for (int e = 0; e < num_entities(); ++e) {
-        if (p.at(e, n) > 0) return false;
-      }
-      continue;
-    }
-    if (FreeMemory(p, n) < -kEpsilon) return false;
-  }
-  for (int j = 0; j < num_jobs(); ++j) {
-    if (p.InstanceCount(EntityOfJob(j)) > 1) return false;
-  }
-  for (int w = 0; w < num_tx(); ++w) {
-    const int entity = EntityOfTx(w);
-    const int* row = p.RowData(entity);
+  const int entities = num_entities();
+  const int nodes = num_nodes();
+  MWP_CHECK(p.num_apps() == entities);
+  MWP_CHECK(p.num_nodes() == nodes);
+  const bool constrained = !constraints_.empty();
+  // One row-major pass over the matrix. Each node's memory sums in
+  // ascending entity order, the order FreeMemory's column walk adds in, so
+  // the memory test below compares the same doubles FreeMemory returns.
+  std::vector<Megabytes> used(static_cast<std::size_t>(nodes), 0.0);
+  for (int e = 0; e < entities; ++e) {
+    const int* row = p.RowData(e);
+    // An unplaced entity's row is empty: this reduction vectorizes, where
+    // the walk below branches on every cell.
+    int any = 0;
+    for (int n = 0; n < nodes; ++n) any |= row[n];
+    if (any == 0) continue;
+    const bool is_job = IsJobEntity(e);
+    const AppId app = constrained ? EntityAppId(e) : kInvalidApp;
     int instances = 0;
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (row[n] > 1) return false;  // at most one instance per node
-      instances += row[n];
+    for (int n = 0; n < nodes; ++n) {
+      const int count = row[n];
+      if (count == 0) continue;
+      // No negative counts; nothing on a crashed node (FreeMemory would
+      // also fail, since available memory is 0, but only when something
+      // there uses memory); at most one instance of a tx app per node.
+      if (count < 0 || !node_online_[static_cast<std::size_t>(n)]) return false;
+      if (!is_job && count > 1) return false;
+      if (constrained && !constraints_.AllowsNode(app, n)) return false;
+      used[static_cast<std::size_t>(n)] +=
+          count * entity_memory_[static_cast<std::size_t>(e)];
+      instances += count;
     }
-    const int cap = tx(w).max_instances;
-    if (cap > 0 && instances > cap) return false;
+    if (is_job) {
+      if (instances > 1) return false;
+    } else {
+      const int cap = tx(TxOfEntity(e)).max_instances;
+      if (cap > 0 && instances > cap) return false;
+    }
   }
-  if (!constraints_.empty()) {
-    for (int e = 0; e < num_entities(); ++e) {
-      for (int n = 0; n < num_nodes(); ++n) {
-        if (p.at(e, n) > 0 && !constraints_.AllowsNode(EntityAppId(e), n)) {
-          return false;
-        }
-      }
+  for (int n = 0; n < nodes; ++n) {
+    if (node_online_[static_cast<std::size_t>(n)] &&
+        node_available_memory_[static_cast<std::size_t>(n)] -
+                used[static_cast<std::size_t>(n)] <
+            -kEpsilon) {
+      return false;
     }
-    for (const auto& [a, b] : constraints_.separations()) {
-      int ea = -1, eb = -1;
-      for (int e = 0; e < num_entities(); ++e) {
-        if (EntityAppId(e) == a) ea = e;
-        if (EntityAppId(e) == b) eb = e;
-      }
-      if (ea < 0 || eb < 0) continue;  // one side not in this snapshot
-      for (int n = 0; n < num_nodes(); ++n) {
-        if (p.at(ea, n) > 0 && p.at(eb, n) > 0) return false;
-      }
+  }
+  for (const auto& [a, b] : constraints_.separations()) {
+    int ea = -1, eb = -1;
+    for (int e = 0; e < entities; ++e) {
+      if (EntityAppId(e) == a) ea = e;
+      if (EntityAppId(e) == b) eb = e;
+    }
+    if (ea < 0 || eb < 0) continue;  // one side not in this snapshot
+    for (int n = 0; n < nodes; ++n) {
+      if (p.at(ea, n) > 0 && p.at(eb, n) > 0) return false;
     }
   }
   return true;

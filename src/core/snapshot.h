@@ -152,10 +152,11 @@ class PlacementSnapshot {
                                 std::vector<MHz> cpu,
                                 std::vector<Megabytes> memory);
 
-  /// True when `p` respects every node's memory capacity, places nothing on
-  /// a node that was offline at capture time, and satisfies the per-entity
-  /// instance rules (jobs: at most one instance; tx: at most one per node
-  /// and at most max_instances overall) and the policy constraints.
+  /// True when `p` has no negative count, respects every node's memory
+  /// capacity, places nothing on a node that was offline at capture time,
+  /// and satisfies the per-entity instance rules (jobs: at most one
+  /// instance; tx: at most one per node and at most max_instances overall)
+  /// and the policy constraints.
   bool IsFeasible(const PlacementMatrix& p) const;
 
  private:

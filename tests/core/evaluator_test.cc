@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+
 #include "tests/core/test_fixtures.h"
 
 namespace mwp {
@@ -243,6 +247,52 @@ TEST(PlacementEvaluatorTest, OverheadDelaysReflectedInPrediction) {
   const auto without_boot = eval2.Evaluate(p);
 
   EXPECT_LT(with_boot.entity_utilities[0], without_boot.entity_utilities[0]);
+}
+
+TEST(PlacementEvaluatorTest, ScratchOfAnotherEvaluatorIsNotReused) {
+  // Three jobs on two nodes under two snapshots that differ only in the
+  // goal factor. The jobs reach the same (work done, start delay) states in
+  // both, so a column memo that did not know its evaluator would hand the
+  // second evaluator the first one's columns — freed with the first
+  // evaluator's cache.
+  const auto build = [](double factor) {
+    SnapshotBuilder b(TinyCluster(2));
+    b.now = 1.0;
+    b.cycle = 1.0;
+    b.AddJob(1, 4'000.0, 1'000.0, 750.0, 0.0, factor, JobStatus::kRunning, 0,
+             /*done=*/1'000.0);
+    b.AddJob(2, 2'000.0, 500.0, 750.0, 0.0, factor, JobStatus::kRunning, 1,
+             /*done=*/500.0);
+    b.AddJob(3, 3'000.0, 800.0, 750.0, 1.0, factor);
+    return b;
+  };
+  const SnapshotBuilder first_builder = build(2.0);
+  const SnapshotBuilder second_builder = build(5.0);
+  const PlacementSnapshot first_snap = first_builder.Build();
+  const PlacementSnapshot second_snap = second_builder.Build();
+  const PlacementMatrix& p = second_snap.current_placement();
+
+  EvalScratch scratch;
+  {
+    const PlacementEvaluator first(&first_snap);
+    first.Evaluate(first_snap.current_placement(), scratch, nullptr);
+  }
+  const PlacementEvaluator second(&second_snap);
+  const PlacementEvaluation reused = second.Evaluate(p, scratch, nullptr);
+  EvalScratch fresh;
+  const PlacementEvaluation expected = second.Evaluate(p, fresh, nullptr);
+
+  ASSERT_EQ(reused.entity_utilities.size(), expected.entity_utilities.size());
+  for (std::size_t e = 0; e < expected.entity_utilities.size(); ++e) {
+    std::printf("entity %zu: utility %.17g, fresh scratch %.17g\n", e,
+                reused.entity_utilities[e], expected.entity_utilities[e]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.entity_utilities[e]),
+              std::bit_cast<std::uint64_t>(expected.entity_utilities[e]))
+        << "entity " << e;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.job_future_speeds[e]),
+              std::bit_cast<std::uint64_t>(expected.job_future_speeds[e]))
+        << "entity " << e;
+  }
 }
 
 }  // namespace

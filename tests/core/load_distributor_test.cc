@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <new>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -31,6 +32,22 @@ TransactionalAppSpec TxSpec(AppId id, MHz saturation = 900.0,
   spec.min_response_time = 0.1;
   spec.saturation_allocation = saturation;
   return spec;
+}
+
+/// Every output bit of a distribution.
+std::vector<std::uint64_t> ResultBits(const DistributionResult& r) {
+  const auto bits_of = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::vector<std::uint64_t> bits;
+  for (int e = 0; e < r.loads.num_apps(); ++e) {
+    for (int n = 0; n < r.loads.num_nodes(); ++n) {
+      bits.push_back(bits_of(r.loads.at(e, n)));
+    }
+  }
+  for (const MHz total : r.totals) bits.push_back(bits_of(total));
+  for (const Utility u : r.utilities) bits.push_back(bits_of(u));
+  for (const bool placed : r.placed) bits.push_back(placed ? 1 : 0);
+  bits.push_back(bits_of(r.batch_level));
+  return bits;
 }
 
 TEST(LoadDistributorTest, SingleJobGetsMaxSpeed) {
@@ -285,6 +302,44 @@ TEST(LoadDistributorTest, HypotheticalExposedForAggregateMode) {
   EXPECT_EQ(without.hypothetical(), nullptr);
 }
 
+TEST(LoadDistributorTest, ScratchOfADestroyedDistributorIsNotReused) {
+  // Two snapshots that differ only in the queued job's goal factor, so
+  // their batch aggregate demand curves differ. The second distributor is
+  // built where the first one lived: a scratch that recognized its owner by
+  // address would hand it the first one's memo tables.
+  const auto build = [](double factor) {
+    SnapshotBuilder b(TinyCluster(2));
+    b.now = 1.0;
+    b.cycle = 1.0;
+    b.AddJob(1, 4'000.0, 1'000.0, 750.0, 0.0, 5.0, JobStatus::kRunning, 0,
+             /*done=*/1'000.0);
+    b.AddJob(2, 2'000.0, 500.0, 750.0, 0.0, 4.0, JobStatus::kRunning, 1,
+             /*done=*/500.0);
+    b.AddJob(3, 3'000.0, 800.0, 750.0, 1.0, factor);
+    return b;
+  };
+  const SnapshotBuilder first_builder = build(2.0);
+  const SnapshotBuilder second_builder = build(3.0);
+  const PlacementSnapshot first_snap = first_builder.Build();
+  const PlacementSnapshot second_snap = second_builder.Build();
+  const PlacementMatrix& p = second_snap.current_placement();
+
+  alignas(LoadDistributor) unsigned char storage[sizeof(LoadDistributor)];
+  DistributorScratch scratch;
+  auto* first = new (storage) LoadDistributor(&first_snap);
+  first->Distribute(first_snap.current_placement(), scratch);
+  first->~LoadDistributor();
+  auto* second = new (storage) LoadDistributor(&second_snap);
+  const DistributionResult reused = second->Distribute(p, scratch);
+  DistributorScratch fresh;
+  const DistributionResult expected = second->Distribute(p, fresh);
+  second->~LoadDistributor();
+
+  std::printf("batch level %a, fresh scratch %a\n", reused.batch_level,
+              expected.batch_level);
+  EXPECT_EQ(ResultBits(reused), ResultBits(expected));
+}
+
 class LoadDistributorPropertyTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -481,9 +536,13 @@ TEST(LoadDistributorFingerprintTest, CorpusDistributesAsRecorded) {
 TEST(LoadDistributorFingerprintTest, CorpusExercisesReroutingPaths) {
   // The max-flow takes direct source→entity→node→sink paths without a
   // search and runs a BFS only for paths that reroute earlier flow through
-  // a reverse arc. The fingerprint pins both only if the corpus needs both.
+  // a reverse arc; where no node is shared it builds no network at all.
+  // The fingerprint pins every path only if the corpus needs each, in both
+  // bargaining modes.
   std::uint64_t probes = 0;
   std::uint64_t rerouting = 0;
+  std::uint64_t unshared[2] = {0, 0};  // per mode: per-job, aggregate
+  std::uint64_t shared[2] = {0, 0};
   for (std::uint64_t seed = 1; seed <= 1'000; ++seed) {
     Rng rng(seed);
     const SnapshotBuilder b = RandomDistributorSnapshot(rng);
@@ -494,14 +553,120 @@ TEST(LoadDistributorFingerprintTest, CorpusExercisesReroutingPaths) {
       DistributorScratch scratch;
       LoadDistributor(&snap, options).Distribute(snap.current_placement(),
                                                  scratch);
-      probes += scratch.stats().flow_probes;
-      rerouting += scratch.stats().rerouting_paths;
+      const DistributorScratch::Stats& stats = scratch.stats();
+      probes += stats.flow_probes;
+      rerouting += stats.rerouting_paths;
+      unshared[aggregate] += stats.unshared_calls;
+      shared[aggregate] += stats.distribute_calls - stats.unshared_calls;
     }
   }
-  std::printf("%llu rerouting paths over %llu flow probes\n",
+  std::printf("%llu rerouting paths over %llu flow probes; calls without / "
+              "with a shared node: aggregate %llu / %llu, per-job %llu / "
+              "%llu\n",
               static_cast<unsigned long long>(rerouting),
-              static_cast<unsigned long long>(probes));
+              static_cast<unsigned long long>(probes),
+              static_cast<unsigned long long>(unshared[1]),
+              static_cast<unsigned long long>(shared[1]),
+              static_cast<unsigned long long>(unshared[0]),
+              static_cast<unsigned long long>(shared[0]));
   EXPECT_GT(rerouting, 0u);
+  for (const int mode : {0, 1}) {
+    EXPECT_GT(unshared[mode], 0u) << "aggregate=" << mode;
+    EXPECT_GT(shared[mode], 0u) << "aggregate=" << mode;
+  }
+}
+
+/// The placements a search scores around the incumbent: the current
+/// placement, then one placed job removed, one queued job added where it
+/// fits, and one placed job moved to another node where it fits.
+std::vector<PlacementMatrix> CandidateSequence(const PlacementSnapshot& snap,
+                                               Rng& rng) {
+  const PlacementMatrix& current = snap.current_placement();
+  std::vector<PlacementMatrix> sequence{current};
+  std::vector<int> placed;
+  std::vector<int> queued;
+  for (int j = 0; j < snap.num_jobs(); ++j) {
+    const bool unplaced =
+        FirstNodeOf(current, snap.EntityOfJob(j)) == kInvalidNode;
+    (unplaced ? queued : placed).push_back(j);
+  }
+  const auto pick = [&rng](const std::vector<int>& jobs) {
+    return jobs[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(jobs.size()) - 1))];
+  };
+  // Adds `entity` to `p` on the first node, from a random start, other than
+  // `skip` where the result is feasible.
+  const auto place = [&](PlacementMatrix p, int entity, int skip) {
+    const int nodes = snap.num_nodes();
+    const int start = static_cast<int>(rng.UniformInt(0, nodes - 1));
+    for (int k = 0; k < nodes; ++k) {
+      const int n = (start + k) % nodes;
+      if (n == skip) continue;
+      p.at(entity, n) = 1;
+      if (snap.IsFeasible(p)) {
+        sequence.push_back(p);
+        return;
+      }
+      p.at(entity, n) = 0;
+    }
+  };
+  if (!placed.empty()) {
+    PlacementMatrix p = current;
+    const int entity = snap.EntityOfJob(pick(placed));
+    p.at(entity, FirstNodeOf(p, entity)) = 0;
+    sequence.push_back(p);
+  }
+  if (!queued.empty()) place(current, snap.EntityOfJob(pick(queued)), -1);
+  if (!placed.empty()) {
+    PlacementMatrix p = current;
+    const int entity = snap.EntityOfJob(pick(placed));
+    const int from = FirstNodeOf(p, entity);
+    p.at(entity, from) = 0;
+    place(std::move(p), entity, from);
+  }
+  return sequence;
+}
+
+TEST(LoadDistributorFingerprintTest, ReusedScratchMatchesFreshScratch) {
+  // The optimizer keeps one scratch per lane across every candidate it
+  // scores, so the memos (batch demand curve, per-node decompositions)
+  // carry from placement to placement. Each call on the reused scratch
+  // must match a fresh scratch bit for bit, probe count included.
+  std::uint64_t decompositions = 0;
+  std::uint64_t reuses = 0;
+  for (std::uint64_t seed = 1; seed <= 1'000; ++seed) {
+    Rng rng(seed);
+    const SnapshotBuilder b = RandomDistributorSnapshot(rng);
+    const PlacementSnapshot snap = b.Build();
+    const std::vector<PlacementMatrix> sequence = CandidateSequence(snap, rng);
+    for (const bool aggregate : {true, false}) {
+      LoadDistributor::Options options;
+      options.batch_aggregate = aggregate;
+      const LoadDistributor distributor(&snap, options);
+      DistributorScratch reused;
+      for (std::size_t k = 0; k < sequence.size(); ++k) {
+        const std::uint64_t probes_before = reused.stats().flow_probes;
+        const DistributionResult r =
+            distributor.Distribute(sequence[k], reused);
+        DistributorScratch fresh;
+        const DistributionResult expected =
+            distributor.Distribute(sequence[k], fresh);
+        EXPECT_EQ(ResultBits(r), ResultBits(expected))
+            << "seed " << seed << " aggregate=" << aggregate << " candidate "
+            << k;
+        EXPECT_EQ(reused.stats().flow_probes - probes_before,
+                  fresh.stats().flow_probes)
+            << "seed " << seed << " aggregate=" << aggregate << " candidate "
+            << k;
+      }
+      decompositions += reused.stats().decompositions;
+      reuses += reused.stats().decomposition_reuses;
+    }
+  }
+  std::printf("%llu of %llu node decompositions reused\n",
+              static_cast<unsigned long long>(reuses),
+              static_cast<unsigned long long>(decompositions));
+  EXPECT_GT(reuses, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <vector>
+
+#include "common/rng.h"
 #include "tests/core/test_fixtures.h"
 
 namespace mwp {
@@ -229,6 +234,160 @@ TEST(SnapshotTest, FreeMemoryZeroOnOfflineNode) {
   const PlacementMatrix p(1, 2);
   EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 0), 0.0);
   EXPECT_DOUBLE_EQ(snap.FreeMemory(p, 1), 2'000.0);
+}
+
+/// IsFeasible's rules restated node by node, with the memory test through
+/// FreeMemory's column walk.
+bool ReferenceIsFeasible(const PlacementSnapshot& snap,
+                         const PlacementMatrix& p) {
+  for (int n = 0; n < snap.num_nodes(); ++n) {
+    for (int e = 0; e < snap.num_entities(); ++e) {
+      if (p.at(e, n) < 0) return false;
+      if (p.at(e, n) > 0 && !snap.NodeOnline(n)) return false;
+    }
+    if (snap.NodeOnline(n) && snap.FreeMemory(p, n) < -kEpsilon) return false;
+  }
+  for (int j = 0; j < snap.num_jobs(); ++j) {
+    if (p.InstanceCount(snap.EntityOfJob(j)) > 1) return false;
+  }
+  for (int w = 0; w < snap.num_tx(); ++w) {
+    const int e = snap.EntityOfTx(w);
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      if (p.at(e, n) > 1) return false;
+    }
+    const int cap = snap.tx(w).max_instances;
+    if (cap > 0 && p.InstanceCount(e) > cap) return false;
+  }
+  const PlacementConstraints& c = snap.constraints();
+  for (int e = 0; e < snap.num_entities(); ++e) {
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      if (p.at(e, n) > 0 && !c.AllowsNode(snap.EntityAppId(e), n)) return false;
+    }
+  }
+  for (int a = 0; a < snap.num_entities(); ++a) {
+    for (int b = 0; b < snap.num_entities(); ++b) {
+      if (c.AllowsCollocation(snap.EntityAppId(a), snap.EntityAppId(b))) {
+        continue;
+      }
+      for (int n = 0; n < snap.num_nodes(); ++n) {
+        if (p.at(a, n) > 0 && p.at(b, n) > 0) return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Four 2,000 MB nodes (node 3 offline); jobs 1-5 (job 2 pinned to nodes 0
+/// and 1), tx 10 (kept apart from job 1) and tx 11 (at most 2 instances).
+/// Job 3 fills node 2 exactly beside the base placement's two tx
+/// instances; job 5 overfills it by 1e-6 MB.
+struct FeasibilityFixture {
+  SnapshotBuilder b{TinyCluster(4)};
+  PlacementSnapshot snap;
+
+  FeasibilityFixture() : snap(Build(b)) {
+    PlacementConstraints c;
+    c.PinTo(2, {0, 1});
+    c.Separate(1, 10);
+    snap.set_constraints(c);
+  }
+
+  static PlacementSnapshot Build(SnapshotBuilder& b) {
+    b.cluster.SetNodeOffline(3);
+    b.AddJob(1, 4'000.0, 1'000.0, 600.0, 0.0, 5.0);
+    b.AddJob(2, 4'000.0, 1'000.0, 600.0, 0.0, 5.0);
+    b.AddJob(3, 4'000.0, 1'000.0, 1'000.0, 0.0, 5.0);
+    b.AddJob(4, 4'000.0, 1'000.0, 400.0, 0.0, 5.0);
+    b.AddJob(5, 4'000.0, 1'000.0, 1'000.000001, 0.0, 5.0);
+    b.AddTx(TxSpec(10), 50.0);
+    TransactionalAppSpec capped = TxSpec(11);
+    capped.max_instances = 2;
+    b.AddTx(capped, 50.0);
+    return b.Build();
+  }
+
+  /// Job 1 on node 0, job 2 on node 1, tx 10 on nodes 1-2, tx 11 on nodes
+  /// 0 and 2: at most 1,100 MB per node.
+  PlacementMatrix Base() const {
+    PlacementMatrix p(snap.num_entities(), snap.num_nodes());
+    p.at(0, 0) = 1;
+    p.at(1, 1) = 1;
+    p.at(5, 1) = 1;
+    p.at(5, 2) = 1;
+    p.at(6, 0) = 1;
+    p.at(6, 2) = 1;
+    return p;
+  }
+};
+
+TEST(SnapshotTest, FeasibilityMatchesPerNodeReference) {
+  const FeasibilityFixture f;
+  const PlacementSnapshot& snap = f.snap;
+  struct Case {
+    const char* name;
+    bool feasible;
+    PlacementMatrix p;
+  };
+  std::vector<Case> cases;
+  auto with = [&f](auto&& edit) {
+    PlacementMatrix p = f.Base();
+    edit(p);
+    return p;
+  };
+  cases.push_back({"base", true, f.Base()});
+  cases.push_back({"memory exactly full", true,
+                   with([](PlacementMatrix& p) { p.at(2, 2) = 1; })});
+  cases.push_back({"memory just over", false,
+                   with([](PlacementMatrix& p) { p.at(4, 2) = 1; })});
+  cases.push_back({"occupied offline node", false,
+                   with([](PlacementMatrix& p) { p.at(3, 3) = 1; })});
+  cases.push_back({"job on two nodes", false, with([](PlacementMatrix& p) {
+                     p.at(3, 0) = 1;
+                     p.at(3, 2) = 1;
+                   })});
+  cases.push_back({"tx twice on one node", false,
+                   with([](PlacementMatrix& p) { p.at(5, 1) = 2; })});
+  cases.push_back({"tx over max_instances", false,
+                   with([](PlacementMatrix& p) { p.at(6, 1) = 1; })});
+  cases.push_back({"pin", false, with([](PlacementMatrix& p) {
+                     p.at(1, 1) = 0;
+                     p.at(1, 2) = 1;
+                   })});
+  cases.push_back({"separation", false, with([](PlacementMatrix& p) {
+                     p.at(0, 0) = 0;
+                     p.at(0, 2) = 1;
+                   })});
+  cases.push_back({"negative count", false,
+                   with([](PlacementMatrix& p) { p.at(3, 0) = -1; })});
+  for (const Case& c : cases) {
+    EXPECT_EQ(snap.IsFeasible(c.p), c.feasible) << c.name;
+    EXPECT_EQ(ReferenceIsFeasible(snap, c.p), c.feasible) << c.name;
+  }
+
+  // Random matrices: mostly 0/1 cells at a random density, with a few 2s
+  // and -1s.
+  int feasible = 0;
+  int infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 4'000; ++seed) {
+    Rng rng(seed);
+    const double density = rng.Uniform(0.02, 0.3);
+    PlacementMatrix p(snap.num_entities(), snap.num_nodes());
+    for (int e = 0; e < snap.num_entities(); ++e) {
+      for (int n = 0; n < snap.num_nodes(); ++n) {
+        if (rng.Uniform01() >= density) continue;
+        const double roll = rng.Uniform01();
+        p.at(e, n) = roll < 0.9 ? 1 : (roll < 0.97 ? 2 : -1);
+      }
+    }
+    const bool expected = ReferenceIsFeasible(snap, p);
+    ASSERT_EQ(snap.IsFeasible(p), expected) << "seed " << seed << "\n"
+                                             << p.ToString();
+    ++(expected ? feasible : infeasible);
+  }
+  std::printf("%d feasible, %d infeasible random placements\n", feasible,
+              infeasible);
+  EXPECT_GT(feasible, 400);
+  EXPECT_GT(infeasible, 400);
 }
 
 }  // namespace
