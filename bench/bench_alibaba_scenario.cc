@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
   const bool trace_full = cli.GetBool("trace-full", false);
   const std::string run_id =
       cli.GetString("run-id", "alibaba-s" + std::to_string(spec.seed));
+  cli.RejectUnknownFlags();
   obs::TraceRecorder recorder;
   if (!trace_out.empty()) {
     spec.trace = &recorder;

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const CommandLine cli(argc, argv);
   const int cycles = static_cast<int>(cli.GetInt("cycles", 10));
   const bool csv = cli.GetBool("csv", false);
+  cli.RejectUnknownFlags();
 
   std::cout << "=== Table 1: system properties ===\n";
   Table props({"job", "start [s]", "max speed [MHz]", "mem [MB]",

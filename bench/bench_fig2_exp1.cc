@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
   const bool trace_full = cli.GetBool("trace-full", false);
   const std::string run_id =
       cli.GetString("run-id", "exp1-s" + std::to_string(cfg.seed));
+  cli.RejectUnknownFlags();
   obs::TraceRecorder recorder;
   if (!trace_out.empty()) {
     cfg.trace = &recorder;

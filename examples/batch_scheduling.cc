@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   base.completed_jobs_target = static_cast<int>(cli.GetInt("jobs", 120));
   base.mean_interarrival = cli.GetDouble("interarrival", 150.0);
   base.seed = cli.GetSeed(7);
+  cli.RejectUnknownFlags();
 
   std::cout << "Workload: " << base.completed_jobs_target
             << " completions, mean inter-arrival " << base.mean_interarrival

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   const bool trace_full = cli.GetBool("trace-full", false);
   const std::string run_id =
       cli.GetString("run-id", "storm-s" + std::to_string(seed));
+  cli.RejectUnknownFlags();
 
   ClusterSpec cluster = ClusterSpec::Uniform(
       num_nodes, NodeSpec{/*num_cpus=*/4, /*cpu_speed_mhz=*/3000.0,

@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   base.mixed_goal_factors = !cli.GetBool("identical", false);
   const Seconds bucket = cli.GetDouble("bucket", 10'000.0);
   const bool csv = cli.GetBool("csv", false);
+  cli.RejectUnknownFlags();
 
   const std::vector<FairnessObjectiveKind> kinds = {
       FairnessObjectiveKind::kMaxMin,

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.GetInt("requests", 60'000));
   base.warmup_requests = base.total_requests / 10;
   base.seed = cli.GetSeed(17);
+  cli.RejectUnknownFlags();
 
   const MHz stability = base.arrival_rate * base.mean_demand;
   std::cout << "Server model: lambda = " << base.arrival_rate

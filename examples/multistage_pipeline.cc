@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   using namespace mwp;
   const CommandLine cli(argc, argv);
   const Seconds horizon = cli.GetDouble("horizon", 5'000.0);
+  cli.RejectUnknownFlags();
 
   const ClusterSpec cluster =
       ClusterSpec::Uniform(1, NodeSpec{4, 1'000.0, 16'384.0});

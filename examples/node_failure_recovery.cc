@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   const bool trace_full = cli.GetBool("trace-full", false);
   const std::string run_id =
       cli.GetString("run-id", "exp4-s" + std::to_string(base.seed));
+  cli.RejectUnknownFlags();
   obs::TraceRecorder recorder;
 
   const Experiment4Mode modes[] = {Experiment4Mode::kDynamicApc,

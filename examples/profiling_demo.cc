@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   // run id, so the multi-run header carries none).
   const std::string trace_out = cli.GetString("trace-out", "");
   const bool trace_full = cli.GetBool("trace-full", false);
+  cli.RejectUnknownFlags();
   obs::TraceRecorder recorder;
 
   Rng rng(2026);

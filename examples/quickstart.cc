@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const int nodes = static_cast<int>(cli.GetInt("nodes", 4));
   const int num_jobs = static_cast<int>(cli.GetInt("jobs", 6));
   const Seconds horizon = cli.GetDouble("horizon", 4'000.0);
+  cli.RejectUnknownFlags();
 
   // 1. Describe the hardware: four 2-core 1.5 GHz machines with 8 GB each.
   const ClusterSpec cluster =

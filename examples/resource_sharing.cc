@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const Seconds surge_at = cli.GetDouble("surge-at", 3'000.0);
   const Seconds surge_end = cli.GetDouble("surge-end", 9'000.0);
   const Seconds horizon = cli.GetDouble("horizon", 15'000.0);
+  cli.RejectUnknownFlags();
 
   const ClusterSpec cluster =
       ClusterSpec::Uniform(nodes, NodeSpec{4, 2'000.0, 16'384.0});

@@ -24,47 +24,52 @@ CommandLine::CommandLine(int argc, const char* const* argv) {
   }
 }
 
+const std::string* CommandLine::Find(const std::string& name) const {
+  read_.insert(name);
+  auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool CommandLine::Has(const std::string& name) const {
-  return flags_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string CommandLine::GetString(const std::string& name,
                                    std::string def) const {
-  auto it = flags_.find(name);
-  return it == flags_.end() ? def : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? def : *v;
 }
 
 double CommandLine::GetDouble(const std::string& name, double def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
   try {
-    return std::stod(it->second);
+    return std::stod(*v);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
+                                *v + "'");
   }
 }
 
 std::int64_t CommandLine::GetInt(const std::string& name,
                                  std::int64_t def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
   try {
-    return std::stoll(it->second);
+    return std::stoll(*v);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name +
-                                " expects an integer, got '" + it->second + "'");
+                                " expects an integer, got '" + *v + "'");
   }
 }
 
 bool CommandLine::GetBool(const std::string& name, bool def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" +
-                              v + "'");
+                              *v + "'");
 }
 
 std::uint64_t CommandLine::GetSeed(std::uint64_t def) const {
@@ -77,11 +82,14 @@ std::uint64_t CommandLine::GetSeed(std::uint64_t def) const {
   return static_cast<std::uint64_t>(value);
 }
 
-std::vector<std::string> CommandLine::FlagNames() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [k, _] : flags_) names.push_back(k);
-  return names;
+void CommandLine::RejectUnknownFlags() const {
+  std::string unknown;
+  for (const auto& [name, _] : flags_) {
+    if (read_.count(name) == 0) unknown += " --" + name;
+  }
+  if (!unknown.empty()) {
+    throw std::invalid_argument("unknown flag(s):" + unknown);
+  }
 }
 
 }  // namespace mwp

@@ -1,11 +1,13 @@
 // Tiny command-line flag parser for examples and bench binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
-// flags are an error so typos in experiment parameters fail loudly.
+// flags are an error so typos in experiment parameters fail loudly: every
+// `main` calls `RejectUnknownFlags()` after its last read.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,12 +32,17 @@ class CommandLine {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names seen on the command line; callers may validate against a schema.
-  std::vector<std::string> FlagNames() const;
+  /// Throws std::invalid_argument naming every flag on the command line
+  /// that no Has() or Get*() call has asked for.
+  void RejectUnknownFlags() const;
 
  private:
+  /// The value of flag `name`, or null when absent; records the name as read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace mwp

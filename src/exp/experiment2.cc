@@ -6,6 +6,7 @@
 #include "batch/job_factory.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/table.h"
 #include "core/apc_controller.h"
 #include "exp/experiment1.h"
 #include "sched/edf_scheduler.h"
@@ -104,6 +105,24 @@ Experiment2Result RunExperiment2(const Experiment2Config& config) {
   result.disruptive_changes = result.changes.disruptive();
   result.end_time = sim.now();
   return result;
+}
+
+std::vector<Experiment2Point> RunExperiment2Sweep(
+    const Experiment2Config& base, const std::vector<Seconds>& interarrivals) {
+  std::vector<Experiment2Point> sweep;
+  for (const Seconds ia : interarrivals) {
+    Experiment2Point& point = sweep.emplace_back();
+    point.mean_interarrival = ia;
+    for (const SchedulerKind kind :
+         {SchedulerKind::kFcfs, SchedulerKind::kEdf, SchedulerKind::kApc}) {
+      Experiment2Config cfg = base;
+      cfg.mean_interarrival = ia;
+      cfg.scheduler = kind;
+      cfg.trace_run_id = "ia" + FormatNumber(ia, 0);
+      point.runs[static_cast<std::size_t>(kind)] = RunExperiment2(cfg);
+    }
+  }
+  return sweep;
 }
 
 }  // namespace mwp

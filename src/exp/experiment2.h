@@ -10,8 +10,10 @@
 // charge them in this experiment).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "batch/job_metrics.h"
 #include "sched/baseline_scheduler.h"
@@ -60,5 +62,28 @@ struct Experiment2Result {
 };
 
 Experiment2Result RunExperiment2(const Experiment2Config& config);
+
+/// The paper's inter-arrival sweep (Figures 3 and 4; Figure 5 shows its
+/// 200 s and 50 s points).
+inline constexpr Seconds kExperiment2Interarrivals[] = {
+    400.0, 350.0, 300.0, 250.0, 200.0, 150.0, 100.0, 50.0};
+
+/// One inter-arrival time of the sweep: the three schedulers' runs on the
+/// same workload sequence.
+struct Experiment2Point {
+  Seconds mean_interarrival = 0.0;
+  std::array<Experiment2Result, 3> runs;  ///< indexed by SchedulerKind
+
+  const Experiment2Result& at(SchedulerKind kind) const {
+    return runs[static_cast<std::size_t>(kind)];
+  }
+};
+
+/// Runs `base` once per (inter-arrival, scheduler) pair: FCFS, EDF, then APC
+/// at each inter-arrival in the given order. When `base.trace` is set, the
+/// APC runs record into it in sweep order, each tagged with the run id
+/// "ia<inter-arrival>".
+std::vector<Experiment2Point> RunExperiment2Sweep(
+    const Experiment2Config& base, const std::vector<Seconds>& interarrivals);
 
 }  // namespace mwp

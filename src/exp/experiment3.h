@@ -37,6 +37,11 @@ enum class Experiment3Mode {
 
 const char* ToString(Experiment3Mode mode);
 
+/// The three configurations Figures 6 and 7 compare, in column order.
+inline constexpr Experiment3Mode kExperiment3Modes[] = {
+    Experiment3Mode::kDynamicApc, Experiment3Mode::kStatic9Tx16Lr,
+    Experiment3Mode::kStatic6Tx19Lr};
+
 struct Experiment3Config {
   Experiment3Mode mode = Experiment3Mode::kDynamicApc;
   int num_nodes = 25;

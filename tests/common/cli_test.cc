@@ -60,10 +60,30 @@ TEST(CommandLineTest, GetSeedParsesAndValidates) {
   EXPECT_THROW(Parse({"--seed=xyz"}).GetSeed(7), std::invalid_argument);
 }
 
-TEST(CommandLineTest, FlagNamesEnumerated) {
-  auto cli = Parse({"--a=1", "--b=2"});
-  const auto names = cli.FlagNames();
-  EXPECT_EQ(names.size(), 2u);
+TEST(CommandLineTest, UnreadFlagsAreRejected) {
+  // A flag that no Get* or Has call read, such as --job misspelt for
+  // --jobs, is named in the error until something reads it.
+  auto cli = Parse({"--jobs=12", "--csv", "--seed", "3", "--trace-out=t.jsonl",
+                    "--job", "12", "--verbose"});
+  EXPECT_EQ(cli.GetInt("jobs", 800), 12);
+  EXPECT_TRUE(cli.GetBool("csv", false));
+  EXPECT_EQ(cli.GetSeed(7), 3u);
+  EXPECT_TRUE(cli.Has("trace-out"));
+  EXPECT_EQ(cli.GetString("absent", "x"), "x");
+  const auto error = [&cli]() -> std::string {
+    try {
+      cli.RejectUnknownFlags();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error(), "unknown flag(s): --job --verbose");
+  EXPECT_TRUE(cli.GetBool("verbose", false));
+  EXPECT_EQ(error(), "unknown flag(s): --job");
+  EXPECT_EQ(cli.GetInt("job", 0), 12);
+  EXPECT_EQ(error(), "");
+  EXPECT_NO_THROW(Parse({"positional"}).RejectUnknownFlags());
 }
 
 }  // namespace
