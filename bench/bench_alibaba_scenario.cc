@@ -28,10 +28,9 @@
 #include "obs/trace_export.h"
 #include "workload/scenario.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
   using workload::ScenarioMode;
-  const CommandLine cli(argc, argv);
 
   const int nodes = static_cast<int>(cli.GetInt("nodes", 100));
   workload::ScenarioSpec spec =
@@ -163,3 +162,5 @@ int main(int argc, char** argv) {
                "times.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

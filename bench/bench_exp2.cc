@@ -108,9 +108,8 @@ void PrintFigure5(const std::vector<Experiment2Point>& sweep, bool csv) {
 }  // namespace
 }  // namespace mwp
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   Experiment2Config base;
   base.completed_jobs_target = static_cast<int>(cli.GetInt("jobs", 800));
   const std::vector<Seconds> interarrivals =
@@ -146,3 +145,5 @@ int main(int argc, char** argv) {
   PrintFigure5(sweep, csv);
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

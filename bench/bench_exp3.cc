@@ -45,9 +45,8 @@ Table BucketTable(const std::vector<Experiment3Result>& results,
 }  // namespace
 }  // namespace mwp
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   Experiment3Config base;
   base.duration = cli.GetDouble("duration", 65'000.0);
   base.burst_interarrival = cli.GetDouble("burst-interarrival", 180.0);
@@ -110,3 +109,5 @@ int main(int argc, char** argv) {
                "constant (TX capped at\nits partition's capacity).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

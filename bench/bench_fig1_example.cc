@@ -10,9 +10,8 @@
 #include "common/table.h"
 #include "exp/example_4_3.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int cycles = static_cast<int>(cli.GetInt("cycles", 10));
   const bool csv = cli.GetBool("csv", false);
   cli.RejectUnknownFlags();
@@ -60,3 +59,5 @@ int main(int argc, char** argv) {
                "at RP ~0.65 (Figure 1).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

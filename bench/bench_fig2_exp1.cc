@@ -29,9 +29,8 @@
 #include "obs/cycle_trace.h"
 #include "obs/trace_export.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   Experiment1Config cfg;
   cfg.num_jobs = static_cast<int>(cli.GetInt("jobs", 800));
   cfg.num_nodes = static_cast<int>(cli.GetInt("nodes", 25));
@@ -128,3 +127,5 @@ int main(int argc, char** argv) {
                "same shape shifted right by ~18,000 s.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

@@ -12,9 +12,8 @@
 #include "common/table.h"
 #include "exp/experiment2.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
 
   Experiment2Config base;
   base.num_nodes = static_cast<int>(cli.GetInt("nodes", 8));
@@ -58,3 +57,5 @@ int main(int argc, char** argv) {
             << dist.ToText();
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

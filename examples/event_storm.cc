@@ -33,9 +33,8 @@
 #include "svc/event_adapters.h"
 #include "web/workload_generator.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int num_jobs = static_cast<int>(cli.GetInt("jobs", 200));
   const int num_nodes = static_cast<int>(cli.GetInt("nodes", 10));
   const Seconds interarrival = cli.GetDouble("interarrival", 2.0);
@@ -160,3 +159,5 @@ int main(int argc, char** argv) {
                "cycles (event cycles are tagged in the trace).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

@@ -28,9 +28,8 @@
 #include "core/fairness_objective.h"
 #include "exp/experiment1.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   Experiment1Config base;
   base.num_jobs = static_cast<int>(cli.GetInt("jobs", 120));
   base.num_nodes = static_cast<int>(cli.GetInt("nodes", 4));
@@ -104,3 +103,5 @@ int main(int argc, char** argv) {
                "trades the worst case for the best aggregate of logs.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

@@ -15,9 +15,8 @@
 #include "web/queuing_model.h"
 #include "web/request_simulator.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
 
   RequestSimConfig base;
   base.arrival_rate = cli.GetDouble("rate", 50.0);
@@ -65,3 +64,5 @@ int main(int argc, char** argv) {
                "controller for any request mix.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

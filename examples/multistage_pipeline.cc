@@ -20,9 +20,8 @@
 #include "core/apc_controller.h"
 #include "sim/simulation.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const Seconds horizon = cli.GetDouble("horizon", 5'000.0);
   cli.RejectUnknownFlags();
 
@@ -103,3 +102,5 @@ int main(int argc, char** argv) {
                "per-stage caps are honoured by the distributor.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

@@ -22,9 +22,8 @@
 #include "obs/cycle_trace.h"
 #include "obs/trace_export.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
 
   Experiment4Config base;
   base.seed = cli.GetSeed(base.seed);
@@ -98,3 +97,5 @@ int main(int argc, char** argv) {
             << summary.ToText();
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

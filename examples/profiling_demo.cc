@@ -24,9 +24,8 @@
 #include "sim/simulation.h"
 #include "web/work_profiler.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int rounds = static_cast<int>(cli.GetInt("rounds", 8));
   const int per_round = static_cast<int>(cli.GetInt("per-round", 5));
   // One recorder spans all rounds: each round's controller appends its
@@ -119,3 +118,5 @@ int main(int argc, char** argv) {
             << web_table.ToText();
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

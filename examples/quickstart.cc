@@ -19,9 +19,8 @@
 #include "sim/simulation.h"
 #include "web/workload_generator.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int nodes = static_cast<int>(cli.GetInt("nodes", 4));
   const int num_jobs = static_cast<int>(cli.GetInt("jobs", 6));
   const Seconds horizon = cli.GetDouble("horizon", 4'000.0);
@@ -98,3 +97,5 @@ int main(int argc, char** argv) {
             << outcomes.ToText();
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

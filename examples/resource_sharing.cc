@@ -19,9 +19,8 @@
 #include "web/queuing_model.h"
 #include "web/workload_generator.h"
 
-int main(int argc, char** argv) {
+static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
-  const CommandLine cli(argc, argv);
   const int nodes = static_cast<int>(cli.GetInt("nodes", 4));
   const Seconds surge_at = cli.GetDouble("surge-at", 3'000.0);
   const Seconds surge_end = cli.GetDouble("surge-end", 9'000.0);
@@ -98,3 +97,5 @@ int main(int argc, char** argv) {
             << "%\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Main); }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,14 @@ const char* ToString(PlacementChange::Kind kind);
 std::vector<PlacementChange> DiffPlacements(
     const PlacementMatrix& from, const PlacementMatrix& to,
     const std::vector<bool>& removal_is_suspend,
+    const std::vector<bool>& addition_is_resume);
+
+/// As above over the listed `rows` only, in ascending order: the same
+/// changes in the same order whenever every row outside `rows` is equal in
+/// `from` and `to`.
+std::vector<PlacementChange> DiffPlacements(
+    const PlacementMatrix& from, const PlacementMatrix& to,
+    std::span<const int> rows, const std::vector<bool>& removal_is_suspend,
     const std::vector<bool>& addition_is_resume);
 
 /// Convenience overload: all removals are stops, all additions are starts.

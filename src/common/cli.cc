@@ -1,5 +1,7 @@
 #include "common/cli.h"
 
+#include <exception>
+#include <iostream>
 #include <stdexcept>
 
 namespace mwp {
@@ -89,6 +91,17 @@ void CommandLine::RejectUnknownFlags() const {
   }
   if (!unknown.empty()) {
     throw std::invalid_argument("unknown flag(s):" + unknown);
+  }
+}
+
+int RunMain(int argc, const char* const* argv,
+            int (*body)(const CommandLine& cli)) {
+  try {
+    const CommandLine cli(argc, argv);
+    return body(cli);
+  } catch (const std::exception& e) {
+    std::cerr << (argc > 0 ? argv[0] : "error") << ": " << e.what() << "\n";
+    return 2;
   }
 }
 

@@ -2,7 +2,8 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
 // flags are an error so typos in experiment parameters fail loudly: every
-// `main` calls `RejectUnknownFlags()` after its last read.
+// `main` calls `RejectUnknownFlags()` after its last read, and runs through
+// RunMain, which turns the error into a message and exit code 2.
 #pragma once
 
 #include <cstdint>
@@ -44,5 +45,13 @@ class CommandLine {
   std::vector<std::string> positional_;
   mutable std::set<std::string> read_;
 };
+
+/// Runs a binary's `main` body on its parsed command line and returns the
+/// body's exit code. A std::exception escaping the parse or the body — a
+/// malformed or unknown flag, an invalid configuration refused by an
+/// MWP_CHECK — is printed to stderr and returns 2, the usage-error code
+/// replay_apc uses, instead of aborting the process.
+int RunMain(int argc, const char* const* argv,
+            int (*body)(const CommandLine& cli));
 
 }  // namespace mwp

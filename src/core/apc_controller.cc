@@ -296,6 +296,8 @@ void ApcController::CommitCycle(const CycleCapture& capture,
   stats.cross_cell_migrations = solution.cross_cell_migrations;
   stats.cell_solver_seconds = std::move(solution.cell_solver_seconds);
 
+  // The transactional rows of the load matrix: all this cycle reads of it.
+  const LoadMatrix& tx_loads = result.evaluation.distribution.tx_loads;
   for (std::size_t w = 0; w < tx_apps_.size(); ++w) {
     const int entity = snapshot.EntityOfTx(static_cast<int>(w));
     const double rate = capture.tx_inputs[w].arrival_rate;
@@ -312,8 +314,7 @@ void ApcController::CommitCycle(const CycleCapture& capture,
       std::vector<MHz> instance_allocs;
       for (int n = 0; n < snapshot.num_nodes(); ++n) {
         if (result.placement.at(entity, n) > 0) {
-          instance_allocs.push_back(
-              result.evaluation.distribution.loads.at(entity, n));
+          instance_allocs.push_back(tx_loads.at(static_cast<int>(w), n));
         }
       }
       const RoutingDecision routed =
@@ -377,11 +378,9 @@ void ApcController::CommitCycle(const CycleCapture& capture,
   // Remember the transactional per-node loads so that mid-cycle dispatch
   // knows what is genuinely free, and watch for mid-cycle completions.
   tx_node_loads_.assign(static_cast<std::size_t>(cluster_->num_nodes()), 0.0);
-  for (std::size_t w = 0; w < tx_apps_.size(); ++w) {
-    const int entity = snapshot.EntityOfTx(static_cast<int>(w));
-    for (int n = 0; n < snapshot.num_nodes(); ++n) {
-      tx_node_loads_[static_cast<std::size_t>(n)] +=
-          result.evaluation.distribution.loads.at(entity, n);
+  for (int w = 0; w < tx_loads.num_apps(); ++w) {
+    for (int n = 0; n < tx_loads.num_nodes(); ++n) {
+      tx_node_loads_[static_cast<std::size_t>(n)] += tx_loads.at(w, n);
     }
   }
   if (sim != nullptr) ArmCompletionWatch(*sim);

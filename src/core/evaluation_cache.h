@@ -87,6 +87,8 @@ struct EvalScratch {
   std::vector<const HypotheticalRpf::Column*> columns;
   std::vector<MHz> row_sums;
   std::vector<HypotheticalRpf::JobOutcome> outcomes;
+  /// Rows a candidate's change list is diffed over.
+  std::vector<int> diff_rows;
 
   /// Last column fetched per job: a job's state usually repeats across
   /// consecutive candidates, so this bypasses the shared cache's mutex for

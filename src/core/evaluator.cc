@@ -58,9 +58,36 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
 PlacementEvaluation PlacementEvaluator::Evaluate(
     const PlacementMatrix& p, EvalScratch& scratch,
     const PlacementEvaluation* reject_bound) const {
+  return Score(p, distributor_.Distribute(p, scratch.distributor), nullptr,
+               scratch, reject_bound);
+}
+
+PlacementEvaluation PlacementEvaluator::Evaluate(
+    const PlacementMatrix& p, const IncumbentIndex& index,
+    const CandidateChange& change, EvalScratch& scratch,
+    const PlacementEvaluation* reject_bound) const {
+  if (!options_.incremental) return Evaluate(p, scratch, reject_bound);
+  index.CandidateDiffRows(change, scratch.diff_rows);
+  return Score(p,
+               distributor_.Distribute(p, index, change, scratch.distributor),
+               &scratch.diff_rows, scratch, reject_bound);
+}
+
+bool PlacementEvaluator::IsFeasibleCandidate(
+    const PlacementMatrix& candidate, const IncumbentIndex& index,
+    const CandidateChange& change) const {
+  if (!options_.incremental) return snapshot_->IsFeasible(candidate);
+  return snapshot_->IsFeasibleChange(candidate, index.feasible(), change.rows,
+                                     change.nodes);
+}
+
+PlacementEvaluation PlacementEvaluator::Score(
+    const PlacementMatrix& p, DistributionResult distribution,
+    const std::vector<int>* diff_rows, EvalScratch& scratch,
+    const PlacementEvaluation* reject_bound) const {
   const PlacementSnapshot& snap = *snapshot_;
   PlacementEvaluation eval;
-  eval.distribution = distributor_.Distribute(p, scratch.distributor);
+  eval.distribution = std::move(distribution);
   eval.entity_utilities.assign(static_cast<std::size_t>(snap.num_entities()),
                                kUtilityFloor);
   eval.job_future_speeds.assign(static_cast<std::size_t>(snap.num_jobs()), 0.0);
@@ -83,7 +110,7 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
     Seconds start_delay_at_end = 0.0;
     if (eval.distribution.placed[static_cast<std::size_t>(entity)] &&
         alloc > 0.0) {
-      const int node = FirstNodeOf(p, entity);
+      const int node = eval.distribution.job_nodes[static_cast<std::size_t>(j)];
       const Seconds exec_start = JobExecStart(snap, jv, node);
       if (exec_start < cycle_end) {
         done = jv.profile->WorkAfterRunning(done, alloc, cycle_end - exec_start);
@@ -196,8 +223,12 @@ PlacementEvaluation PlacementEvaluator::Evaluate(
     return eval;
   }
 
-  eval.changes = DiffPlacements(snap.current_placement(), p,
-                                removal_is_suspend_, addition_is_resume_);
+  eval.changes =
+      diff_rows != nullptr
+          ? DiffPlacements(snap.current_placement(), p, *diff_rows,
+                           removal_is_suspend_, addition_is_resume_)
+          : DiffPlacements(snap.current_placement(), p, removal_is_suspend_,
+                           addition_is_resume_);
   objective_->Score(eval.entity_utilities, eval.score);
   return eval;
 }

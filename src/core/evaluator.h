@@ -38,6 +38,7 @@
 #include "core/evaluation_cache.h"
 #include "core/fairness_objective.h"
 #include "core/hypothetical_rpf.h"
+#include "core/incumbent_index.h"
 #include "core/load_distributor.h"
 #include "core/snapshot.h"
 
@@ -112,6 +113,25 @@ class PlacementEvaluator {
   PlacementEvaluation Evaluate(const PlacementMatrix& p, EvalScratch& scratch,
                                const PlacementEvaluation* reject_bound) const;
 
+  /// As above for a search candidate `p`: `index`'s incumbent with `change`
+  /// applied, `change.feasible` set by IsFeasibleCandidate. The distributor
+  /// and the job loop take each job's node from the index, and the change
+  /// list is diffed over the rows that can differ from the current
+  /// placement; the result is the one the overload above returns. With
+  /// incremental off the overload above runs instead (the reference).
+  PlacementEvaluation Evaluate(const PlacementMatrix& p,
+                               const IncumbentIndex& index,
+                               const CandidateChange& change,
+                               EvalScratch& scratch,
+                               const PlacementEvaluation* reject_bound) const;
+
+  /// IsFeasible(candidate) for `index`'s incumbent with `change` applied:
+  /// computed from the change (PlacementSnapshot::IsFeasibleChange), or by
+  /// the full check with incremental off.
+  bool IsFeasibleCandidate(const PlacementMatrix& candidate,
+                           const IncumbentIndex& index,
+                           const CandidateChange& change) const;
+
   /// Lexicographic comparison of score vectors with tolerance: returns +1
   /// when `a` is strictly better, -1 when worse, 0 when tied. On score
   /// ties, the evaluation with fewer changes is better.
@@ -147,6 +167,15 @@ class PlacementEvaluator {
   std::unique_ptr<FairnessObjective> objective_;
   /// Scratch for the one-argument Evaluate overload.
   mutable EvalScratch scratch_;
+
+  /// Steps 2-4 of the scoring on a computed distribution. `diff_rows`
+  /// lists the rows where `p` can differ from the current placement, or is
+  /// null to diff every row.
+  PlacementEvaluation Score(const PlacementMatrix& p,
+                            DistributionResult distribution,
+                            const std::vector<int>* diff_rows,
+                            EvalScratch& scratch,
+                            const PlacementEvaluation* reject_bound) const;
 };
 
 }  // namespace mwp

@@ -112,28 +112,49 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
     hypothetical_ =
         std::make_unique<HypotheticalRpf>(std::move(states), snapshot_->now());
   }
+  stage_caps_.reserve(static_cast<std::size_t>(snapshot_->num_jobs()));
+  for (const JobView& jv : snapshot_->jobs()) {
+    stage_caps_.push_back(StageMaxSpeed(jv));
+  }
+}
+
+LoadMatrix DistributionResult::Loads() const {
+  const auto jobs = static_cast<int>(job_nodes.size());
+  LoadMatrix loads(static_cast<int>(totals.size()), tx_loads.num_nodes());
+  // What the decomposition (batch mode) and the per-job branch write: the
+  // job's total on its node. An unrouted job's total is +0.0, the fill.
+  for (int j = 0; j < jobs; ++j) {
+    const int node = job_nodes[static_cast<std::size_t>(j)];
+    if (node != kInvalidNode) {
+      loads.at(j, node) = totals[static_cast<std::size_t>(j)];
+    }
+  }
+  for (int w = 0; w < tx_loads.num_apps(); ++w) {
+    for (int n = 0; n < tx_loads.num_nodes(); ++n) {
+      loads.at(jobs + w, n) = tx_loads.at(w, n);
+    }
+  }
+  return loads;
 }
 
 std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
-    const PlacementMatrix& p, DistributorScratch& scratch) const {
+    const PlacementMatrix& p, const std::vector<int>& job_nodes,
+    DistributorScratch& scratch) const {
   const PlacementSnapshot& snap = *snapshot_;
   std::vector<FillEntity> entities;
 
   if (options_.batch_aggregate) {
     // One entity for the whole batch workload, routed through the placed
     // job instances. Per-node caps accumulate jobs in index order (the
-    // addition order determines the exact double). The hosting node of
-    // each job is recorded on the way for the final decomposition.
-    // Distribute's feasibility precondition leaves a job at most one
-    // instance, so each row scan stops at the job's node.
+    // addition order determines the exact double). Distribute's
+    // feasibility precondition leaves a job at most one instance: its node.
     FillEntity batch;
     std::vector<MHz> node_cap(static_cast<std::size_t>(snap.num_nodes()), 0.0);
-    scratch.job_node.assign(static_cast<std::size_t>(snap.num_jobs()), -1);
     for (int j = 0; j < snap.num_jobs(); ++j) {
-      const int n = FirstNodeOf(p, snap.EntityOfJob(j));
+      const int n = job_nodes[static_cast<std::size_t>(j)];
       if (n == kInvalidNode) continue;
-      node_cap[static_cast<std::size_t>(n)] += StageMaxSpeed(snap.job(j));
-      scratch.job_node[static_cast<std::size_t>(j)] = n;
+      node_cap[static_cast<std::size_t>(n)] +=
+          stage_caps_[static_cast<std::size_t>(j)];
     }
     for (int n = 0; n < snap.num_nodes(); ++n) {
       if (node_cap[static_cast<std::size_t>(n)] > 0.0) {
@@ -152,20 +173,17 @@ std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
     }
   } else {
     for (int j = 0; j < snap.num_jobs(); ++j) {
-      const int entity = snap.EntityOfJob(j);
-      const std::vector<int> nodes = p.NodesOf(entity);
-      if (nodes.empty()) continue;
-      MWP_DCHECK_MSG(nodes.size() == 1, "a job has a single instance");
+      const int node = job_nodes[static_cast<std::size_t>(j)];
+      if (node == kInvalidNode) continue;
       const JobView& jv = snap.job(j);
       FillEntity e;
       e.kind = FillEntity::Kind::kJob;
-      e.entity = entity;
-      e.nodes = nodes;
-      e.edge_caps = {StageMaxSpeed(jv)};
+      e.entity = snap.EntityOfJob(j);
+      e.nodes = {node};
+      e.edge_caps = {stage_caps_[static_cast<std::size_t>(j)]};
       e.min_alloc = jv.min_speed;
       e.rpf = std::make_unique<JobCompletionRpf>(
-          jv.profile, jv.goal, jv.work_done,
-          JobExecStart(snap, jv, nodes.front()));
+          jv.profile, jv.goal, jv.work_done, JobExecStart(snap, jv, node));
       e.active = true;
       e.max_u = e.rpf->max_utility();
       entities.push_back(std::move(e));
@@ -453,7 +471,6 @@ void LoadDistributor::DecomposeNodeShare(const std::vector<int>& local_jobs,
   }
   for (std::size_t k = 0; k < local_jobs.size(); ++k) {
     const int entity = snap.EntityOfJob(local_jobs[k]);
-    result.loads.at(entity, node) = memo.grants[k];
     result.totals[static_cast<std::size_t>(entity)] = memo.grants[k];
     result.utilities[static_cast<std::size_t>(entity)] = memo.utilities[k];
   }
@@ -481,7 +498,7 @@ void LoadDistributor::DecomposeInto(const std::vector<int>& local_jobs,
     JobCompletionRpf rpf(jv.profile, jv.goal, jv.work_done,
                          JobExecStart(snap, jv, node));
     const Utility max_u = rpf.max_utility();
-    const MHz cap = StageMaxSpeed(jv);
+    const MHz cap = stage_caps_[static_cast<std::size_t>(j)];
     const MHz at_max = std::min(cap, rpf.AllocationFor(max_u));
     local.push_back(LocalJob{cap, jv.min_speed, rpf, max_u, at_max});
   }
@@ -546,8 +563,22 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p) const {
 
 DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
                                                DistributorScratch& scratch) const {
+  MWP_CHECK_MSG(snapshot_->IsFeasible(p),
+                "Distribute requires a feasible placement");
+  return DistributeFeasible(p, JobNodes(*snapshot_, p), scratch);
+}
+
+DistributionResult LoadDistributor::Distribute(
+    const PlacementMatrix& p, const IncumbentIndex& index,
+    const CandidateChange& change, DistributorScratch& scratch) const {
+  MWP_CHECK_MSG(change.feasible, "Distribute requires a feasible placement");
+  return DistributeFeasible(p, index.CandidateJobNodes(p, change), scratch);
+}
+
+DistributionResult LoadDistributor::DistributeFeasible(
+    const PlacementMatrix& p, std::vector<int> job_nodes,
+    DistributorScratch& scratch) const {
   const PlacementSnapshot& snap = *snapshot_;
-  MWP_CHECK_MSG(snap.IsFeasible(p), "Distribute requires a feasible placement");
   ++scratch.stats_.distribute_calls;
   if (scratch.owner_id != id_) {
     // Scratch last used with a different distributor: its memo tables do
@@ -556,7 +587,7 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
     scratch.batch_demand_memo.clear();
     scratch.node_memo.clear();
   }
-  std::vector<FillEntity> entities = BuildEntities(p, scratch);
+  std::vector<FillEntity> entities = BuildEntities(p, job_nodes, scratch);
   PrepareFlowNetwork(entities, scratch);
   if (!scratch.shared_node) ++scratch.stats_.unshared_calls;
   const auto num_entities = static_cast<std::size_t>(snap.num_entities());
@@ -685,14 +716,21 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
   MWP_CHECK_MSG(routed, "final fixed demands must be routable");
 
   DistributionResult result;
-  result.loads = LoadMatrix(snap.num_entities(), snap.num_nodes());
   result.totals.assign(num_entities, 0.0);
   result.utilities.assign(num_entities, kUtilityFloor);
   result.placed.assign(num_entities, false);
   result.batch_level = std::numeric_limits<double>::quiet_NaN();
-
-  for (int e = 0; e < snap.num_entities(); ++e) {
-    result.placed[static_cast<std::size_t>(e)] = p.InstanceCount(e) > 0;
+  result.tx_loads = LoadMatrix(snap.num_tx(), snap.num_nodes());
+  // Placed: a job with a node; a tx app with a node list (BuildEntities
+  // skips the others).
+  for (int j = 0; j < snap.num_jobs(); ++j) {
+    result.placed[static_cast<std::size_t>(snap.EntityOfJob(j))] =
+        job_nodes[static_cast<std::size_t>(j)] != kInvalidNode;
+  }
+  for (const FillEntity& e : entities) {
+    if (e.kind == FillEntity::Kind::kTx) {
+      result.placed[static_cast<std::size_t>(e.entity)] = true;
+    }
   }
 
   for (std::size_t i = 0; i < entities.size(); ++i) {
@@ -708,7 +746,7 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
         }
         for (std::vector<int>& g : groups) g.clear();
         for (int j = 0; j < snap.num_jobs(); ++j) {
-          const int n = scratch.job_node[static_cast<std::size_t>(j)];
+          const int n = job_nodes[static_cast<std::size_t>(j)];
           if (n >= 0) groups[static_cast<std::size_t>(n)].push_back(j);
         }
         scratch.node_memo.resize(groups.size());
@@ -728,20 +766,21 @@ DistributionResult LoadDistributor::Distribute(const PlacementMatrix& p,
         result.totals[entity] = total;
         result.utilities[entity] =
             e.rpf != nullptr ? e.rpf->UtilityAt(total) : e.fixed_utility;
-        if (total > 0.0) result.loads.at(e.entity, e.nodes.front()) = total;
         break;
       }
       case FillEntity::Kind::kTx: {
         const auto entity = static_cast<std::size_t>(e.entity);
         result.totals[entity] = e.fixed_demand;
         result.utilities[entity] = e.fixed_utility;
+        const int w = snap.TxOfEntity(e.entity);
         for (std::size_t n = 0; n < routing[i].size(); ++n) {
-          result.loads.at(e.entity, static_cast<int>(n)) = routing[i][n];
+          result.tx_loads.at(w, static_cast<int>(n)) = routing[i][n];
         }
         break;
       }
     }
   }
+  result.job_nodes = std::move(job_nodes);
   return result;
 }
 

@@ -71,13 +71,12 @@
 
 #include "cluster/placement.h"
 #include "core/hypothetical_rpf.h"
+#include "core/incumbent_index.h"
 #include "core/snapshot.h"
 
 namespace mwp {
 
 struct DistributionResult {
-  /// CPU allocated per (entity, node), MHz.
-  LoadMatrix loads;
   /// Per-entity totals ω_e (0 for unplaced entities).
   std::vector<MHz> totals;
   /// Per-entity achieved utility; meaningful only for placed entities
@@ -90,6 +89,17 @@ struct DistributionResult {
   /// The level the batch aggregate reached; NaN when the placement hosts no
   /// batch entity (no placed jobs, or per-job bargaining mode).
   Utility batch_level = std::numeric_limits<double>::quiet_NaN();
+  /// Per job: the node hosting it, kInvalidNode when unplaced.
+  std::vector<int> job_nodes;
+  /// The transactional rows of the load matrix: CPU routed per (tx app,
+  /// node), MHz, tx apps in snapshot order.
+  LoadMatrix tx_loads;
+
+  /// The load matrix L: CPU allocated per (entity, node), MHz. A job's
+  /// only cell is its total on its node; a tx app's row is its routing.
+  /// Built on demand (scoring a candidate never reads it), entities
+  /// indexed like the snapshot's: jobs, then tx apps.
+  LoadMatrix Loads() const;
 };
 
 /// Reusable buffers for Distribute: the sparse residual network and
@@ -165,10 +175,8 @@ class DistributorScratch {
   std::vector<MHz> demands;
   std::vector<std::vector<MHz>> routing;
 
-  // Batch-mode decomposition: hosting node per job (-1 when unplaced),
-  // recorded while building the batch entity, and the per-node job groups
-  // derived from it for the final assembly.
-  std::vector<int> job_node;
+  // Batch-mode decomposition: the per-node job groups for the final
+  // assembly.
   std::vector<std::vector<int>> node_jobs;
 
   /// Batch aggregate demand curve memo: clamped level bits → Eq. 6
@@ -223,6 +231,15 @@ class LoadDistributor {
   DistributionResult Distribute(const PlacementMatrix& p,
                                 DistributorScratch& scratch) const;
 
+  /// As above for a search candidate `p`: `index`'s incumbent with `change`
+  /// applied. The precondition checks the change's feasibility verdict, and
+  /// each job's node comes from the index, re-scanned on the changed rows
+  /// only. Same result as the overload above.
+  DistributionResult Distribute(const PlacementMatrix& p,
+                                const IncumbentIndex& index,
+                                const CandidateChange& change,
+                                DistributorScratch& scratch) const;
+
   /// The hypothetical RPF (at snapshot time, over all incomplete jobs)
   /// driving the batch aggregate entity; null when the snapshot has no jobs
   /// or per-job mode is selected.
@@ -237,10 +254,18 @@ class LoadDistributor {
   /// distributor's.
   std::uint64_t id_ = NewScratchOwnerId();
   std::unique_ptr<HypotheticalRpf> hypothetical_;
+  /// Per job: its current stage's max speed, the cap of its instance.
+  std::vector<MHz> stage_caps_;
   /// Scratch for the one-argument Distribute overload.
   mutable DistributorScratch scratch_;
 
+  /// Distribute for a placement already known to be feasible, given each
+  /// job's node under it.
+  DistributionResult DistributeFeasible(const PlacementMatrix& p,
+                                        std::vector<int> job_nodes,
+                                        DistributorScratch& scratch) const;
   std::vector<FillEntity> BuildEntities(const PlacementMatrix& p,
+                                        const std::vector<int>& job_nodes,
                                         DistributorScratch& scratch) const;
   /// Builds the residual network for the current entity set into
   /// `scratch` (only source arcs vary per probe), or only the direct arcs

@@ -5,32 +5,38 @@
 #include <utility>
 
 #include "common/check.h"
+#include "core/incumbent_index.h"
 
 namespace mwp {
 namespace {
 
-/// Yields the candidate placements TryImproveNode scores, in the exact
-/// order the sequential nested loops try them: for each base configuration
-/// (0, 1, 2, … residents peeled off the node, best-off first) the feasible
-/// wish-list prefix, then the migration donors. Feasibility and memory
-/// skips do not consume a "tried" slot, matching the sequential loops.
+/// Yields the candidates TryImproveNode scores, in the exact order the
+/// sequential nested loops try them: for each base configuration (0, 1, 2,
+/// … residents peeled off the node, best-off first) the feasible wish-list
+/// prefix, then the migration donors. Feasibility and memory skips do not
+/// consume a "tried" slot, matching the sequential loops. A candidate comes
+/// out as its change to the incumbent, with IsFeasible's verdict computed
+/// from the change on `work`, a copy of the incumbent that Next leaves
+/// equal to it on return.
 class CandidateStream {
  public:
-  CandidateStream(const PlacementSnapshot& snap,
+  CandidateStream(const PlacementEvaluator& evaluator,
                   const PlacementOptimizer::Options& options, int node,
-                  const PlacementMatrix& best,
+                  const IncumbentIndex& index, PlacementMatrix& work,
                   const PlacementEvaluation& best_eval,
                   const std::vector<int>& wishes)
-      : snap_(snap),
+      : snap_(evaluator.snapshot()),
+        evaluator_(evaluator),
         options_(options),
         node_(node),
-        best_(best),
+        index_(index),
+        work_(work),
         wishes_(wishes) {
     if (!wishes_.empty()) {
       // Residents of this node, peeled off in order of descending predicted
       // utility: the best-off applications give way first.
       for (int e = 0; e < snap_.num_entities(); ++e) {
-        for (int k = 0; k < best_.at(e, node_); ++k) residents_.push_back(e);
+        for (int k = 0; k < work_.at(e, node_); ++k) residents_.push_back(e);
       }
       std::stable_sort(residents_.begin(), residents_.end(), [&](int a, int b) {
         return best_eval.entity_utilities[static_cast<std::size_t>(a)] >
@@ -40,11 +46,12 @@ class CandidateStream {
       phase_ = Phase::kMigration;
     }
 
+    // Placed jobs hosted elsewhere. The incumbent passed Distribute's
+    // feasibility check, so a job has at most one instance: the index's.
     for (int j = 0; j < snap_.num_jobs(); ++j) {
-      const int entity = snap_.EntityOfJob(j);
-      if (best_.InstanceCount(entity) == 0) continue;
-      if (best_.at(entity, node_) > 0) continue;
-      donors_.push_back(entity);
+      const int at = index_.job_nodes()[static_cast<std::size_t>(j)];
+      if (at == kInvalidNode || at == node_) continue;
+      donors_.push_back(snap_.EntityOfJob(j));
     }
     std::stable_sort(donors_.begin(), donors_.end(), [&](int a, int b) {
       return best_eval.entity_utilities[static_cast<std::size_t>(a)] <
@@ -52,8 +59,9 @@ class CandidateStream {
     });
   }
 
-  /// Writes the next candidate into `out`; false when the stream is done.
-  bool Next(PlacementMatrix* out) {
+  /// Writes the next candidate's change into `out`; false when the stream
+  /// is done.
+  bool Next(CandidateChange* out) {
     if (phase_ == Phase::kWish && NextWish(out)) return true;
     phase_ = Phase::kMigration;
     return NextMigration(out);
@@ -62,74 +70,97 @@ class CandidateStream {
  private:
   enum class Phase { kWish, kMigration };
 
-  bool NextWish(PlacementMatrix* out) {
+  /// Removes (delta -1) or restores (+1) the current base configuration's
+  /// peeled residents in work_.
+  void Peel(int delta) {
+    for (std::size_t r = 0; r < removals_; ++r) {
+      work_.at(residents_[r], node_) += delta;
+    }
+  }
+
+  bool NextWish(CandidateChange* out) {
     while (removals_ <= residents_.size()) {
+      Peel(-1);
       if (!base_ready_) {
-        working_ = best_;
-        for (std::size_t r = 0; r < removals_; ++r) {
-          MWP_DCHECK(working_.at(residents_[r], node_) > 0);
-          working_.at(residents_[r], node_) -= 1;
-        }
-        free_ = snap_.FreeMemory(working_, node_);
+        free_ = snap_.FreeMemory(work_, node_);
         wish_pos_ = 0;
         tried_ = 0;
         base_ready_ = true;
       }
-      while (wish_pos_ < wishes_.size() &&
-             tried_ < options_.max_wishes_tried) {
-        const int w = wishes_[wish_pos_++];
-        if (snap_.IsJobEntity(w)) {
-          if (working_.InstanceCount(w) > 0) continue;
-        } else {
-          if (working_.at(w, node_) > 0) continue;
-        }
-        if (snap_.EntityMemory(w) > free_ + kEpsilon) continue;
-        PlacementMatrix candidate = working_;
-        candidate.at(w, node_) += 1;
-        if (!snap_.IsFeasible(candidate)) continue;
-        ++tried_;
-        *out = std::move(candidate);
-        return true;
-      }
+      const bool found = NextWishOnBase(out);
+      Peel(+1);
+      if (found) return true;
       ++removals_;
       base_ready_ = false;
     }
     return false;
   }
 
-  bool NextMigration(PlacementMatrix* out) {
+  /// The next feasible wish added to the base configuration work_ holds.
+  bool NextWishOnBase(CandidateChange* out) {
+    while (wish_pos_ < wishes_.size() && tried_ < options_.max_wishes_tried) {
+      const int w = wishes_[wish_pos_++];
+      if (snap_.IsJobEntity(w)) {
+        // A wished job is unplaced in the incumbent, so in every base.
+        MWP_DCHECK(index_.job_nodes()[static_cast<std::size_t>(
+                       snap_.JobOfEntity(w))] == kInvalidNode);
+      } else {
+        if (work_.at(w, node_) > 0) continue;
+      }
+      if (snap_.EntityMemory(w) > free_ + kEpsilon) continue;
+      out->Clear();
+      for (std::size_t r = 0; r < removals_; ++r) {
+        out->Add(residents_[r], node_, -1);
+      }
+      out->Add(w, node_, +1);
+      out->Seal();
+      work_.at(w, node_) += 1;
+      out->feasible = evaluator_.IsFeasibleCandidate(work_, index_, *out);
+      work_.at(w, node_) -= 1;
+      if (!out->feasible) continue;
+      ++tried_;
+      return true;
+    }
+    return false;
+  }
+
+  bool NextMigration(CandidateChange* out) {
     if (!mig_free_ready_) {
-      mig_free_ = snap_.FreeMemory(best_, node_);
+      mig_free_ = snap_.FreeMemory(work_, node_);
       mig_free_ready_ = true;
     }
     while (donor_pos_ < donors_.size() &&
            mig_tried_ < options_.max_migrations_tried) {
       const int donor = donors_[donor_pos_++];
       if (snap_.EntityMemory(donor) > mig_free_ + kEpsilon) continue;
-      PlacementMatrix candidate = best_;
-      const int from = FirstNodeOf(candidate, donor);
-      MWP_DCHECK(from != kInvalidNode && candidate.InstanceCount(donor) == 1);
-      candidate.at(donor, from) -= 1;
-      candidate.at(donor, node_) += 1;
-      if (!snap_.IsFeasible(candidate)) continue;
+      const int from =
+          index_.job_nodes()[static_cast<std::size_t>(snap_.JobOfEntity(donor))];
+      out->Clear();
+      out->Add(donor, from, -1);
+      out->Add(donor, node_, +1);
+      out->Seal();
+      out->ApplyTo(work_);
+      out->feasible = evaluator_.IsFeasibleCandidate(work_, index_, *out);
+      out->RevertFrom(work_);
+      if (!out->feasible) continue;
       ++mig_tried_;
-      *out = std::move(candidate);
       return true;
     }
     return false;
   }
 
   const PlacementSnapshot& snap_;
+  const PlacementEvaluator& evaluator_;
   const PlacementOptimizer::Options& options_;
   const int node_;
-  const PlacementMatrix& best_;
+  const IncumbentIndex& index_;
+  PlacementMatrix& work_;
   const std::vector<int>& wishes_;
 
   Phase phase_ = Phase::kWish;
   std::vector<int> residents_;
   std::size_t removals_ = 0;
   bool base_ready_ = false;
-  PlacementMatrix working_;
   Megabytes free_ = 0.0;
   std::size_t wish_pos_ = 0;
   int tried_ = 0;
@@ -148,6 +179,31 @@ int ResolveLanes(int search_threads) {
 }
 
 }  // namespace
+
+/// What the search keeps about its incumbent besides Result::placement:
+/// the index candidates are scored against, and per lane a copy of the
+/// placement that equals the incumbent except while the lane scores a
+/// candidate on it (lane 0's also serves the candidate stream).
+struct PlacementOptimizer::Incumbent {
+  IncumbentIndex index;
+  std::vector<PlacementMatrix> lanes;
+  /// Candidate changes of the chunk being scored (one when sequential).
+  std::vector<CandidateChange> chunk;
+
+  Incumbent(const PlacementSnapshot& snap, const PlacementMatrix& placement,
+            int lane_count)
+      : index(snap, placement),
+        lanes(static_cast<std::size_t>(lane_count), placement),
+        chunk(1) {}
+
+  /// Commits `change` into `placement` (the incumbent), every lane's copy
+  /// and the index.
+  void Commit(const CandidateChange& change, PlacementMatrix& placement) {
+    change.ApplyTo(placement);
+    for (PlacementMatrix& p : lanes) change.ApplyTo(p);
+    index.Commit(placement, change);
+  }
+};
 
 void PlacementOptimizer::Options::Validate() const {
   MWP_CHECK(max_sweeps >= 1);
@@ -180,7 +236,9 @@ std::vector<int> PlacementOptimizer::WishList(
   std::vector<int> wishes;
   for (int j = 0; j < snap.num_jobs(); ++j) {
     const int entity = snap.EntityOfJob(j);
-    if (p.InstanceCount(entity) == 0) wishes.push_back(entity);
+    if (!eval.distribution.placed[static_cast<std::size_t>(entity)]) {
+      wishes.push_back(entity);
+    }
   }
   for (int w = 0; w < snap.num_tx(); ++w) {
     const TxView& tv = snap.tx(w);
@@ -211,22 +269,27 @@ std::vector<int> PlacementOptimizer::WishList(
   return wishes;
 }
 
-bool PlacementOptimizer::TryImproveNode(int node, Result& result) const {
-  const PlacementSnapshot& snap = *snapshot_;
+bool PlacementOptimizer::TryImproveNode(int node, Result& result,
+                                        Incumbent& incumbent) const {
   const std::vector<int> wishes = WishList(result.placement, result.evaluation);
-  CandidateStream stream(snap, options_, node, result.placement,
-                         result.evaluation, wishes);
+  CandidateStream stream(evaluator_, options_, node, incumbent.index,
+                         incumbent.lanes[0], result.evaluation, wishes);
+  std::vector<CandidateChange>& chunk = incumbent.chunk;
 
   if (lanes_ <= 1) {
-    PlacementMatrix candidate;
-    while (stream.Next(&candidate)) {
+    CandidateChange& change = chunk[0];
+    PlacementMatrix& candidate = incumbent.lanes[0];
+    while (stream.Next(&change)) {
       if (!EvaluationBudgetLeft(result)) return false;
+      change.ApplyTo(candidate);
       PlacementEvaluation cand_eval =
-          evaluator_.Evaluate(candidate, scratches_[0], &result.evaluation);
+          evaluator_.Evaluate(candidate, incumbent.index, change,
+                              scratches_[0], &result.evaluation);
+      change.RevertFrom(candidate);
       ++result.evaluations;
       if (!cand_eval.rejected_by_bound &&
           evaluator_.Compare(cand_eval, result.evaluation) > 0) {
-        result.placement = std::move(candidate);
+        incumbent.Commit(change, result.placement);
         result.evaluation = std::move(cand_eval);
         return true;
       }
@@ -235,12 +298,12 @@ bool PlacementOptimizer::TryImproveNode(int node, Result& result) const {
   }
 
   // Parallel search: pull a chunk of candidates (never more than the
-  // evaluation budget allows), score them concurrently, then commit the
-  // first winner in enumeration order. Candidates past the winner are
-  // speculative work the sequential order never reaches — their results
-  // are discarded and they do not count as evaluations.
+  // evaluation budget allows), score them concurrently, each lane on its
+  // own copy of the incumbent, then commit the first winner in enumeration
+  // order. Candidates past the winner are speculative work the sequential
+  // order never reaches — their results are discarded and they do not
+  // count as evaluations.
   const std::size_t chunk_target = static_cast<std::size_t>(lanes_) * 2;
-  std::vector<PlacementMatrix> chunk;
   std::vector<PlacementEvaluation> evals;
   for (;;) {
     std::size_t budget_left = chunk_target;
@@ -250,30 +313,34 @@ bool PlacementOptimizer::TryImproveNode(int node, Result& result) const {
                                              result.evaluations);
     }
     const std::size_t want = std::min(chunk_target, budget_left);
-    chunk.clear();
-    PlacementMatrix candidate;
-    while (chunk.size() < want && stream.Next(&candidate)) {
-      chunk.push_back(std::move(candidate));
+    std::size_t count = 0;
+    while (count < want) {
+      if (chunk.size() == count) chunk.emplace_back();
+      if (!stream.Next(&chunk[count])) break;
+      ++count;
     }
-    if (chunk.empty()) return false;
+    if (count == 0) return false;
 
-    evals.assign(chunk.size(), PlacementEvaluation{});
-    pool_->ParallelFor(chunk.size(), [&](int lane, std::size_t i) {
+    evals.assign(count, PlacementEvaluation{});
+    pool_->ParallelFor(count, [&](int lane, std::size_t i) {
+      PlacementMatrix& candidate = incumbent.lanes[static_cast<std::size_t>(lane)];
+      chunk[i].ApplyTo(candidate);
       evals[i] = evaluator_.Evaluate(
-          chunk[i], scratches_[static_cast<std::size_t>(lane)],
-          &result.evaluation);
+          candidate, incumbent.index, chunk[i],
+          scratches_[static_cast<std::size_t>(lane)], &result.evaluation);
+      chunk[i].RevertFrom(candidate);
     });
 
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       if (evals[i].rejected_by_bound) continue;
       if (evaluator_.Compare(evals[i], result.evaluation) > 0) {
         result.evaluations += static_cast<int>(i) + 1;
-        result.placement = std::move(chunk[i]);
+        incumbent.Commit(chunk[i], result.placement);
         result.evaluation = std::move(evals[i]);
         return true;
       }
     }
-    result.evaluations += static_cast<int>(chunk.size());
+    result.evaluations += static_cast<int>(count);
   }
 }
 
@@ -386,6 +453,8 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
     }
   }
 
+  // From here on every candidate is one change to the incumbent.
+  Incumbent incumbent(snap, result.placement, lanes_);
   for (int sweep = 0; sweep < options_.max_sweeps; ++sweep) {
     bool improved = false;
     for (int node = 0; node < snap.num_nodes(); ++node) {
@@ -394,7 +463,7 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
       if (!snap.NodeOnline(node)) continue;
       for (int change = 0; change < options_.max_changes_per_node; ++change) {
         if (!EvaluationBudgetLeft(result)) return result;
-        if (!TryImproveNode(node, result)) break;
+        if (!TryImproveNode(node, result, incumbent)) break;
         improved = true;
       }
     }

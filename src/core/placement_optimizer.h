@@ -20,7 +20,9 @@
 // so every candidate is derived from consistent state; when nothing in the
 // system wants more capacity the search short-cuts to re-evaluating the
 // incumbent, mirroring the paper's observation that cycles where all jobs
-// fit are much cheaper.
+// fit are much cheaper. After the bootstraps, each candidate is scored as
+// its change to the incumbent (core/incumbent_index.h), so no pass over the
+// dense placement matrix runs per candidate.
 //
 // Candidate search can run on a small internal thread pool
 // (Options::search_threads): candidates are enumerated in the exact order
@@ -96,9 +98,10 @@ class PlacementOptimizer {
  private:
   // Parallel-search sharing discipline (checked under TSan by the
   // concurrency stress tests): Optimize may not be called concurrently on
-  // one optimizer. During a chunk, lane `k` writes only scratches_[k] and
-  // evals[k-slots]; the shared column cache inside evaluator_ synchronizes
-  // internally (see HypColumnCache); the incumbent Result is read-only
+  // one optimizer. During a chunk, lane `k` writes only scratches_[k], its
+  // own copy of the incumbent placement and evals[k-slots]; the shared
+  // column cache inside evaluator_ synchronizes internally (see
+  // HypColumnCache); the incumbent Result and its index are read-only
   // until the chunk's ParallelFor has joined.
   const PlacementSnapshot* snapshot_;
   Options options_;
@@ -116,10 +119,12 @@ class PlacementOptimizer {
   std::vector<int> WishList(const PlacementMatrix& p,
                             const PlacementEvaluation& eval) const;
 
+  struct Incumbent;
+
   /// Attempt one improving change involving `node`; commits it into
-  /// best/best_eval and returns true, or returns false when no candidate
-  /// beats the incumbent.
-  bool TryImproveNode(int node, Result& result) const;
+  /// `result` and `incumbent` and returns true, or returns false when no
+  /// candidate beats the incumbent.
+  bool TryImproveNode(int node, Result& result, Incumbent& incumbent) const;
 
   /// The search itself; Optimize wraps it to difference the cache and
   /// distributor counters into the Result.

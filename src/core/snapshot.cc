@@ -167,12 +167,36 @@ AppId PlacementSnapshot::EntityAppId(int entity) const {
   return tx(TxOfEntity(entity)).id;
 }
 
+bool PlacementSnapshot::RowFeasible(int e, const int* row,
+                                    Megabytes* used) const {
+  const bool is_job = IsJobEntity(e);
+  const bool constrained = !constraints_.empty();
+  const AppId app = constrained ? EntityAppId(e) : kInvalidApp;
+  int instances = 0;
+  for (int n = 0; n < num_nodes(); ++n) {
+    const int count = row[n];
+    if (count == 0) continue;
+    // No negative counts; nothing on a crashed node (FreeMemory would
+    // also fail, since available memory is 0, but only when something
+    // there uses memory); at most one instance of a tx app per node.
+    if (count < 0 || !node_online_[static_cast<std::size_t>(n)]) return false;
+    if (!is_job && count > 1) return false;
+    if (constrained && !constraints_.AllowsNode(app, n)) return false;
+    if (used != nullptr) {
+      used[n] += count * entity_memory_[static_cast<std::size_t>(e)];
+    }
+    instances += count;
+  }
+  if (is_job) return instances <= 1;
+  const int cap = tx(TxOfEntity(e)).max_instances;
+  return cap <= 0 || instances <= cap;
+}
+
 bool PlacementSnapshot::IsFeasible(const PlacementMatrix& p) const {
   const int entities = num_entities();
   const int nodes = num_nodes();
   MWP_CHECK(p.num_apps() == entities);
   MWP_CHECK(p.num_nodes() == nodes);
-  const bool constrained = !constraints_.empty();
   // One row-major pass over the matrix. Each node's memory sums in
   // ascending entity order, the order FreeMemory's column walk adds in, so
   // the memory test below compares the same doubles FreeMemory returns.
@@ -180,32 +204,11 @@ bool PlacementSnapshot::IsFeasible(const PlacementMatrix& p) const {
   for (int e = 0; e < entities; ++e) {
     const int* row = p.RowData(e);
     // An unplaced entity's row is empty: this reduction vectorizes, where
-    // the walk below branches on every cell.
+    // the walk in RowFeasible branches on every cell.
     int any = 0;
     for (int n = 0; n < nodes; ++n) any |= row[n];
     if (any == 0) continue;
-    const bool is_job = IsJobEntity(e);
-    const AppId app = constrained ? EntityAppId(e) : kInvalidApp;
-    int instances = 0;
-    for (int n = 0; n < nodes; ++n) {
-      const int count = row[n];
-      if (count == 0) continue;
-      // No negative counts; nothing on a crashed node (FreeMemory would
-      // also fail, since available memory is 0, but only when something
-      // there uses memory); at most one instance of a tx app per node.
-      if (count < 0 || !node_online_[static_cast<std::size_t>(n)]) return false;
-      if (!is_job && count > 1) return false;
-      if (constrained && !constraints_.AllowsNode(app, n)) return false;
-      used[static_cast<std::size_t>(n)] +=
-          count * entity_memory_[static_cast<std::size_t>(e)];
-      instances += count;
-    }
-    if (is_job) {
-      if (instances > 1) return false;
-    } else {
-      const int cap = tx(TxOfEntity(e)).max_instances;
-      if (cap > 0 && instances > cap) return false;
-    }
+    if (!RowFeasible(e, row, used.data())) return false;
   }
   for (int n = 0; n < nodes; ++n) {
     if (node_online_[static_cast<std::size_t>(n)] &&
@@ -225,6 +228,24 @@ bool PlacementSnapshot::IsFeasible(const PlacementMatrix& p) const {
     for (int n = 0; n < nodes; ++n) {
       if (p.at(ea, n) > 0 && p.at(eb, n) > 0) return false;
     }
+  }
+  return true;
+}
+
+bool PlacementSnapshot::IsFeasibleChange(const PlacementMatrix& p,
+                                         bool base_feasible,
+                                         std::span<const int> rows,
+                                         std::span<const int> nodes) const {
+  if (!base_feasible || !constraints_.empty()) return IsFeasible(p);
+  MWP_CHECK(p.num_apps() == num_entities());
+  MWP_CHECK(p.num_nodes() == num_nodes());
+  for (const int e : rows) {
+    if (!RowFeasible(e, p.RowData(e), nullptr)) return false;
+  }
+  // Every count is now non-negative, so each column walk adds the terms
+  // IsFeasible adds for the node, in the same order.
+  for (const int n : nodes) {
+    if (NodeOnline(n) && FreeMemory(p, n) < -kEpsilon) return false;
   }
   return true;
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "batch/job.h"
@@ -159,7 +160,23 @@ class PlacementSnapshot {
   /// and the policy constraints.
   bool IsFeasible(const PlacementMatrix& p) const;
 
+  /// IsFeasible(p) for a `p` that differs from some placement `base` only
+  /// in cells whose entity is in `rows` and whose node is in `nodes`, given
+  /// `base_feasible` = IsFeasible(base). Re-checks only those rows' instance
+  /// rules and re-sums memory only on those nodes, with FreeMemory's column
+  /// walk (the doubles IsFeasible compares); every other row and node keeps
+  /// base's verdict. Falls back to IsFeasible(p) when base_feasible is false
+  /// or a pin or separation is installed.
+  bool IsFeasibleChange(const PlacementMatrix& p, bool base_feasible,
+                        std::span<const int> rows,
+                        std::span<const int> nodes) const;
+
  private:
+  /// IsFeasible's rules for entity `e`'s row (num_nodes() cells): counts,
+  /// node health, the per-entity instance rules and the pins. Adds the
+  /// row's memory per node to `used` when it is not null.
+  bool RowFeasible(int e, const int* row, Megabytes* used) const;
+
   const ClusterSpec* cluster_;
   Seconds now_;
   Seconds control_cycle_;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -99,6 +102,46 @@ PlacementOptimizer::Options ReferenceOptions() {
   return o;
 }
 
+/// The bits of each double, so NaN compares equal to itself.
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+std::vector<std::uint64_t> Bits(const LoadMatrix& loads) {
+  std::vector<std::uint64_t> bits;
+  for (int e = 0; e < loads.num_apps(); ++e) {
+    for (int n = 0; n < loads.num_nodes(); ++n) {
+      bits.push_back(std::bit_cast<std::uint64_t>(loads.at(e, n)));
+    }
+  }
+  return bits;
+}
+
+/// Pins one random entity to a random node subset and separates two random
+/// entities, drawing from `rng` only. The current placement may violate
+/// either, which makes it infeasible.
+void AddRandomConstraints(Rng& rng, PlacementSnapshot& snap) {
+  const int entities = snap.num_entities();
+  if (entities == 0) return;
+  PlacementConstraints c;
+  std::vector<NodeId> allowed;
+  for (int n = 0; n < snap.num_nodes(); ++n) {
+    if (rng.Uniform01() < 0.6) allowed.push_back(n);
+  }
+  if (allowed.empty()) allowed.push_back(snap.num_nodes() - 1);
+  c.PinTo(snap.EntityAppId(static_cast<int>(rng.UniformInt(0, entities - 1))),
+          allowed);
+  if (entities >= 2) {
+    const int a = static_cast<int>(rng.UniformInt(0, entities - 1));
+    const int b =
+        (a + 1 + static_cast<int>(rng.UniformInt(0, entities - 2))) % entities;
+    c.Separate(snap.EntityAppId(a), snap.EntityAppId(b));
+  }
+  snap.set_constraints(std::move(c));
+}
+
 void ExpectIdentical(const PlacementOptimizer::Result& got,
                      const PlacementOptimizer::Result& want,
                      std::uint64_t seed) {
@@ -112,8 +155,15 @@ void ExpectIdentical(const PlacementOptimizer::Result& got,
       << "seed " << seed;
   EXPECT_EQ(got.evaluation.changes, want.evaluation.changes)
       << "seed " << seed;
-  EXPECT_EQ(got.evaluation.distribution.totals,
-            want.evaluation.distribution.totals)
+  const DistributionResult& got_dist = got.evaluation.distribution;
+  const DistributionResult& want_dist = want.evaluation.distribution;
+  EXPECT_EQ(got_dist.totals, want_dist.totals) << "seed " << seed;
+  EXPECT_EQ(Bits(got_dist.Loads()), Bits(want_dist.Loads())) << "seed " << seed;
+  EXPECT_EQ(got_dist.placed, want_dist.placed) << "seed " << seed;
+  EXPECT_EQ(Bits(got_dist.utilities), Bits(want_dist.utilities))
+      << "seed " << seed;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got_dist.batch_level),
+            std::bit_cast<std::uint64_t>(want_dist.batch_level))
       << "seed " << seed;
 }
 
@@ -146,6 +196,38 @@ TEST(EvaluatorEquivalenceTest, ParallelSearchMatchesReference) {
     ExpectIdentical(optimized.Optimize(), reference.Optimize(), seed);
     if (HasFailure()) break;
   }
+}
+
+TEST(EvaluatorEquivalenceTest, ConstrainedSnapshotsMatchReference) {
+  // Pins and separations send every feasibility verdict through the full
+  // check; a current placement that violates one is refused by both
+  // engines alike. The constraints come from their own generator, so the
+  // snapshots are those of the test above.
+  int solved = 0;
+  int refused = 0;
+  for (std::uint64_t seed = 1; seed <= 220; ++seed) {
+    Rng rng(seed);
+    const SnapshotBuilder b = RandomSnapshot(rng);
+    PlacementSnapshot snap = b.Build();
+    Rng constraint_rng(seed + 1'000'000);
+    AddRandomConstraints(constraint_rng, snap);
+
+    const PlacementOptimizer optimized(&snap);
+    const PlacementOptimizer reference(&snap, ReferenceOptions());
+    if (!snap.IsFeasible(snap.current_placement())) {
+      EXPECT_THROW(optimized.Optimize(), std::logic_error) << "seed " << seed;
+      EXPECT_THROW(reference.Optimize(), std::logic_error) << "seed " << seed;
+      ++refused;
+    } else {
+      ExpectIdentical(optimized.Optimize(), reference.Optimize(), seed);
+      ++solved;
+    }
+    if (HasFailure()) break;
+  }
+  std::printf("%d constrained snapshots solved, %d infeasible ones refused\n",
+              solved, refused);
+  EXPECT_GT(solved, 50);
+  EXPECT_GT(refused, 20);
 }
 
 TEST(EvaluatorEquivalenceTest, RepeatedEvaluationsReuseCacheExactly) {

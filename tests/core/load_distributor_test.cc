@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/placement_optimizer.h"
 #include "tests/core/test_fixtures.h"
 
 namespace mwp {
@@ -38,9 +39,10 @@ TransactionalAppSpec TxSpec(AppId id, MHz saturation = 900.0,
 std::vector<std::uint64_t> ResultBits(const DistributionResult& r) {
   const auto bits_of = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   std::vector<std::uint64_t> bits;
-  for (int e = 0; e < r.loads.num_apps(); ++e) {
-    for (int n = 0; n < r.loads.num_nodes(); ++n) {
-      bits.push_back(bits_of(r.loads.at(e, n)));
+  const LoadMatrix loads = r.Loads();
+  for (int e = 0; e < loads.num_apps(); ++e) {
+    for (int n = 0; n < loads.num_nodes(); ++n) {
+      bits.push_back(bits_of(loads.at(e, n)));
     }
   }
   for (const MHz total : r.totals) bits.push_back(bits_of(total));
@@ -114,8 +116,8 @@ TEST(LoadDistributorTest, JobsOnSeparateNodesIndependent) {
   const auto result = LoadDistributor(&snap).Distribute(snap.current_placement());
   EXPECT_NEAR(result.totals[0], 1'000.0, 1.0);
   EXPECT_NEAR(result.totals[1], 1'000.0, 1.0);
-  EXPECT_DOUBLE_EQ(result.loads.at(0, 0), result.totals[0]);
-  EXPECT_DOUBLE_EQ(result.loads.at(1, 1), result.totals[1]);
+  EXPECT_DOUBLE_EQ(result.Loads().at(0, 0), result.totals[0]);
+  EXPECT_DOUBLE_EQ(result.Loads().at(1, 1), result.totals[1]);
 }
 
 TEST(LoadDistributorTest, UnplacedJobGetsNothing) {
@@ -152,10 +154,10 @@ TEST(LoadDistributorTest, TxSpansMultipleNodes) {
   EXPECT_NEAR(result.totals[0], 2'500.0, 5.0);
   // Routed across the three instances within node capacity.
   for (int n = 0; n < 3; ++n) {
-    EXPECT_LE(result.loads.at(0, n), 1'000.0 + 1e-6);
+    EXPECT_LE(result.Loads().at(0, n), 1'000.0 + 1e-6);
   }
-  EXPECT_NEAR(result.loads.at(0, 0) + result.loads.at(0, 1) +
-                  result.loads.at(0, 2),
+  EXPECT_NEAR(result.Loads().at(0, 0) + result.Loads().at(0, 1) +
+                  result.Loads().at(0, 2),
               2'500.0, 5.0);
 }
 
@@ -191,7 +193,7 @@ TEST(LoadDistributorTest, NodeCapacityNeverExceeded) {
   const PlacementSnapshot snap = b.Build();
   const auto result = LoadDistributor(&snap).Distribute(snap.current_placement());
   for (int n = 0; n < 2; ++n) {
-    EXPECT_LE(result.loads.NodeLoad(n), 1'000.0 + 1e-5) << "node " << n;
+    EXPECT_LE(result.Loads().NodeLoad(n), 1'000.0 + 1e-5) << "node " << n;
   }
 }
 
@@ -361,14 +363,14 @@ TEST_P(LoadDistributorPropertyTest, InvariantsHoldUnderRandomWorkloads) {
 
   // Invariant 1: node capacities respected.
   for (int n = 0; n < num_nodes; ++n) {
-    EXPECT_LE(result.loads.NodeLoad(n), 1'000.0 + 1e-5);
+    EXPECT_LE(result.Loads().NodeLoad(n), 1'000.0 + 1e-5);
   }
   // Invariant 2: no job exceeds its max speed.
   for (int j = 0; j < num_jobs; ++j) {
     EXPECT_LE(result.totals[static_cast<std::size_t>(j)],
               snap.job(j).max_speed + 1e-5);
     // Invariant 3: totals match the routed loads.
-    EXPECT_NEAR(result.loads.AppAllocation(j),
+    EXPECT_NEAR(result.Loads().AppAllocation(j),
                 result.totals[static_cast<std::size_t>(j)], 1e-5);
   }
 }
@@ -514,12 +516,13 @@ TEST(LoadDistributorFingerprintTest, CorpusDistributesAsRecorded) {
                       << e.what();
         continue;
       }
+      const LoadMatrix loads = r.Loads();
       for (int n = 0; n < snap.num_nodes(); ++n) {
-        EXPECT_LE(r.loads.NodeLoad(n), snap.NodeAvailableCpu(n) + 1e-6)
+        EXPECT_LE(loads.NodeLoad(n), snap.NodeAvailableCpu(n) + 1e-6)
             << "seed " << seed << " aggregate=" << aggregate << " node " << n;
       }
       for (int e = 0; e < snap.num_entities(); ++e) {
-        for (int n = 0; n < snap.num_nodes(); ++n) mix_double(r.loads.at(e, n));
+        for (int n = 0; n < snap.num_nodes(); ++n) mix_double(loads.at(e, n));
       }
       for (const MHz total : r.totals) mix_double(total);
       for (const Utility u : r.utilities) mix_double(u);
@@ -634,6 +637,7 @@ TEST(LoadDistributorFingerprintTest, ReusedScratchMatchesFreshScratch) {
   // must match a fresh scratch bit for bit, probe count included.
   std::uint64_t decompositions = 0;
   std::uint64_t reuses = 0;
+  int searches = 0;
   for (std::uint64_t seed = 1; seed <= 1'000; ++seed) {
     Rng rng(seed);
     const SnapshotBuilder b = RandomDistributorSnapshot(rng);
@@ -661,8 +665,24 @@ TEST(LoadDistributorFingerprintTest, ReusedScratchMatchesFreshScratch) {
       }
       decompositions += reused.stats().decompositions;
       reuses += reused.stats().decomposition_reuses;
+      if (seed % 40 != 0) continue;
+      // The distribution a search commits came from its lane scratch, and
+      // for a changed placement from the change-based Distribute: it must
+      // match a fresh dense Distribute of the committed placement, loads
+      // included.
+      PlacementOptimizer::Options search;
+      search.evaluator.distributor = options;
+      search.search_threads = 1;
+      const PlacementOptimizer::Result result =
+          PlacementOptimizer(&snap, search).Optimize();
+      DistributorScratch fresh;
+      EXPECT_EQ(ResultBits(result.evaluation.distribution),
+                ResultBits(distributor.Distribute(result.placement, fresh)))
+          << "seed " << seed << " aggregate=" << aggregate << " search";
+      ++searches;
     }
   }
+  std::printf("%d searches committed\n", searches);
   std::printf("%llu of %llu node decompositions reused\n",
               static_cast<unsigned long long>(reuses),
               static_cast<unsigned long long>(decompositions));

@@ -143,11 +143,11 @@ TEST_P(OfflineNodesProperty, NoPathTouchesAnOfflineNode) {
     }
 
     const LoadDistributor distributor(&snap);
-    const DistributionResult dist = distributor.Distribute(result.placement);
+    const LoadMatrix loads = distributor.Distribute(result.placement).Loads();
     for (NodeId n = 0; n < s.cluster.num_nodes(); ++n) {
       MHz node_load = 0.0;
       for (int e = 0; e < snap.num_entities(); ++e) {
-        const MHz load = dist.loads.at(e, n);
+        const MHz load = loads.at(e, n);
         EXPECT_GE(load, 0.0);
         if (!s.cluster.node_online(n)) {
           EXPECT_EQ(load, 0.0)
