@@ -21,6 +21,7 @@
 namespace mwp {
 namespace {
 
+using testing_fixtures::AddRandomConstraints;
 using testing_fixtures::SnapshotBuilder;
 
 /// A small random mixed-workload snapshot: a few nodes, a batch of jobs in
@@ -117,29 +118,6 @@ std::vector<std::uint64_t> Bits(const LoadMatrix& loads) {
     }
   }
   return bits;
-}
-
-/// Pins one random entity to a random node subset and separates two random
-/// entities, drawing from `rng` only. The current placement may violate
-/// either, which makes it infeasible.
-void AddRandomConstraints(Rng& rng, PlacementSnapshot& snap) {
-  const int entities = snap.num_entities();
-  if (entities == 0) return;
-  PlacementConstraints c;
-  std::vector<NodeId> allowed;
-  for (int n = 0; n < snap.num_nodes(); ++n) {
-    if (rng.Uniform01() < 0.6) allowed.push_back(n);
-  }
-  if (allowed.empty()) allowed.push_back(snap.num_nodes() - 1);
-  c.PinTo(snap.EntityAppId(static_cast<int>(rng.UniformInt(0, entities - 1))),
-          allowed);
-  if (entities >= 2) {
-    const int a = static_cast<int>(rng.UniformInt(0, entities - 1));
-    const int b =
-        (a + 1 + static_cast<int>(rng.UniformInt(0, entities - 2))) % entities;
-    c.Separate(snap.EntityAppId(a), snap.EntityAppId(b));
-  }
-  snap.set_constraints(std::move(c));
 }
 
 void ExpectIdentical(const PlacementOptimizer::Result& got,

@@ -24,6 +24,7 @@
 namespace mwp {
 namespace {
 
+using testing_fixtures::AddRandomConstraints;
 using testing_fixtures::SnapshotBuilder;
 
 constexpr Megabytes kNodeMemory = 2'000.0;
@@ -68,27 +69,6 @@ SnapshotBuilder RandomWorld(Rng& rng) {
     b.AddTx(spec, rng.Uniform(1.0, 25.0), std::move(on));
   }
   return b;
-}
-
-/// Pins one random entity to a random node subset and separates two
-/// random entities.
-void AddConstraints(Rng& rng, PlacementSnapshot& snap) {
-  PlacementConstraints c;
-  const int entities = snap.num_entities();
-  const int pinned = static_cast<int>(rng.UniformInt(0, entities - 1));
-  std::vector<NodeId> allowed;
-  for (int n = 0; n < snap.num_nodes(); ++n) {
-    if (rng.Uniform01() < 0.5) allowed.push_back(n);
-  }
-  if (allowed.empty()) allowed.push_back(0);
-  c.PinTo(snap.EntityAppId(pinned), allowed);
-  if (entities >= 2) {
-    const int a = static_cast<int>(rng.UniformInt(0, entities - 1));
-    const int b = (a + 1 + static_cast<int>(rng.UniformInt(0, entities - 2))) %
-                  entities;
-    c.Separate(snap.EntityAppId(a), snap.EntityAppId(b));
-  }
-  snap.set_constraints(std::move(c));
 }
 
 /// A random incumbent: each entity placed greedily where it fits (jobs
@@ -197,7 +177,7 @@ TEST(IncumbentIndexTest, ChangeVerdictMatchesIsFeasible) {
     const SnapshotBuilder b = RandomWorld(rng);
     PlacementSnapshot snap = b.Build();
     if (rng.Uniform01() < 0.25) {
-      AddConstraints(rng, snap);
+      AddRandomConstraints(rng, snap);
       ++constrained;
     }
     PlacementMatrix incumbent = RandomIncumbent(rng, snap);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/snapshot.h"
 #include "web/transactional_app.h"
 
@@ -77,5 +78,28 @@ struct SnapshotBuilder {
     return PlacementSnapshot(&cluster, now, cycle, jobs, tx_views);
   }
 };
+
+/// Pins one random entity to a random node subset and separates two random
+/// entities, drawing from `rng` only. The current placement may violate
+/// either, which makes it infeasible.
+inline void AddRandomConstraints(Rng& rng, PlacementSnapshot& snap) {
+  const int entities = snap.num_entities();
+  if (entities == 0) return;
+  PlacementConstraints c;
+  std::vector<NodeId> allowed;
+  for (int n = 0; n < snap.num_nodes(); ++n) {
+    if (rng.Uniform01() < 0.6) allowed.push_back(n);
+  }
+  if (allowed.empty()) allowed.push_back(snap.num_nodes() - 1);
+  c.PinTo(snap.EntityAppId(static_cast<int>(rng.UniformInt(0, entities - 1))),
+          allowed);
+  if (entities >= 2) {
+    const int a = static_cast<int>(rng.UniformInt(0, entities - 1));
+    const int b =
+        (a + 1 + static_cast<int>(rng.UniformInt(0, entities - 2))) % entities;
+    c.Separate(snap.EntityAppId(a), snap.EntityAppId(b));
+  }
+  snap.set_constraints(std::move(c));
+}
 
 }  // namespace mwp::testing_fixtures
