@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -27,15 +26,13 @@ namespace {
 using testing_fixtures::AddRandomConstraints;
 using testing_fixtures::SnapshotBuilder;
 
-constexpr Megabytes kNodeMemory = 2'000.0;
-
 /// A random snapshot: 2-6 nodes (some offline), 1-8 jobs, 0-3 tx apps
 /// with instance caps, and a random current placement that need not be
 /// feasible.
 SnapshotBuilder RandomWorld(Rng& rng) {
   const int nodes = static_cast<int>(rng.UniformInt(2, 6));
   SnapshotBuilder b(
-      ClusterSpec::Uniform(nodes, NodeSpec{1, 1'000.0, kNodeMemory}));
+      ClusterSpec::Uniform(nodes, NodeSpec{1, 1'000.0, 2'000.0}));
   for (int n = 0; n < nodes; ++n) {
     if (rng.Uniform01() < 0.15) b.cluster.SetNodeOffline(n);
   }
@@ -161,14 +158,10 @@ CandidateChange RandomChange(Rng& rng, const PlacementSnapshot& snap,
   return change;
 }
 
-struct VerdictCounts {
+TEST(IncumbentIndexTest, ChangeVerdictMatchesIsFeasible) {
   int feasible = 0;
   int infeasible = 0;
   int from_change = 0;  // base feasible and unconstrained
-};
-
-TEST(IncumbentIndexTest, ChangeVerdictMatchesIsFeasible) {
-  VerdictCounts counts;
   int infeasible_bases = 0;
   int constrained = 0;
   int negative = 0;
@@ -198,18 +191,18 @@ TEST(IncumbentIndexTest, ChangeVerdictMatchesIsFeasible) {
       ASSERT_EQ(got, want) << "seed " << seed << " candidate " << c << "\n"
                            << incumbent.ToString();
       change.RevertFrom(incumbent);
-      ++(want ? counts.feasible : counts.infeasible);
-      if (base_feasible && snap.constraints().empty()) ++counts.from_change;
+      ++(want ? feasible : infeasible);
+      if (base_feasible && snap.constraints().empty()) ++from_change;
     }
   }
   std::printf(
       "verdicts: %d feasible, %d infeasible (%d from the change, %d with a "
       "negative count); %d infeasible incumbents, %d constrained snapshots\n",
-      counts.feasible, counts.infeasible, counts.from_change, negative,
-      infeasible_bases, constrained);
-  EXPECT_GT(counts.feasible, 5'000);
-  EXPECT_GT(counts.infeasible, 5'000);
-  EXPECT_GT(counts.from_change, 10'000);
+      feasible, infeasible, from_change, negative, infeasible_bases,
+      constrained);
+  EXPECT_GT(feasible, 5'000);
+  EXPECT_GT(infeasible, 5'000);
+  EXPECT_GT(from_change, 10'000);
   EXPECT_GT(negative, 100);
   EXPECT_GT(infeasible_bases, 100);
 }
