@@ -233,16 +233,18 @@ TEST(LoadDistributorTest, BatchLevelReported) {
 }
 
 TEST(LoadDistributorTest, QueuedJobsPullCpuFromTx) {
-  // The Experiment Three mechanism in miniature: one placed job, several
-  // queued ones, and a transactional app. Under the aggregate model the
-  // batch entity demands CPU on behalf of the queue, squeezing the tx app
-  // below its ceiling; per-job bargaining (the ablation) leaves the tx app
-  // at its ceiling because the placed job alone is easily satisfied.
-  auto build = [] {
+  // The Experiment Three mechanism in miniature: one placed job beside a
+  // transactional app, with and without three queued jobs. The batch
+  // workload bargains as one entity on behalf of its whole queue, so the
+  // queued jobs squeeze the tx app below what it gets beside the placed job
+  // alone, and the placed job carries the queue's share.
+  auto build = [](bool with_queue) {
     SnapshotBuilder b(TinyCluster(1));
     b.AddJob(1, 2'000.0, 900.0, 400.0, 0.0, 8.0, JobStatus::kRunning, 0);
-    for (int j = 2; j <= 4; ++j) {
-      b.AddJob(j, 2'000.0, 900.0, 400.0, 0.0, 8.0);  // queued
+    if (with_queue) {
+      for (int j = 2; j <= 4; ++j) {
+        b.AddJob(j, 2'000.0, 900.0, 400.0, 0.0, 8.0);  // queued
+      }
     }
     TransactionalAppSpec spec;
     spec.id = 50;
@@ -256,22 +258,24 @@ TEST(LoadDistributorTest, QueuedJobsPullCpuFromTx) {
     return b;
   };
 
-  auto b_agg = build();
-  const PlacementSnapshot snap_agg = b_agg.Build();
-  const auto aggregate =
-      LoadDistributor(&snap_agg).Distribute(snap_agg.current_placement());
+  const SnapshotBuilder queue_builder = build(true);
+  const SnapshotBuilder alone_builder = build(false);
+  const PlacementSnapshot queue_snap = queue_builder.Build();
+  const PlacementSnapshot alone_snap = alone_builder.Build();
+  const auto queued =
+      LoadDistributor(&queue_snap).Distribute(queue_snap.current_placement());
+  const auto alone =
+      LoadDistributor(&alone_snap).Distribute(alone_snap.current_placement());
 
-  auto b_solo = build();
-  const PlacementSnapshot snap_solo = b_solo.Build();
-  LoadDistributor::Options ablation;
-  ablation.batch_aggregate = false;
-  const auto per_job = LoadDistributor(&snap_solo, ablation)
-                           .Distribute(snap_solo.current_placement());
-
-  const std::size_t tx_entity = 4;  // after the four jobs
-  EXPECT_LT(aggregate.totals[tx_entity], per_job.totals[tx_entity])
+  // Entities are the jobs, then the tx app.
+  const MHz tx_queued = queued.totals[4];
+  const MHz tx_alone = alone.totals[1];
+  std::printf("placed job %.2f vs %.2f MHz, tx %.2f vs %.2f MHz (with vs "
+              "without the queue)\n",
+              queued.totals[0], alone.totals[0], tx_queued, tx_alone);
+  EXPECT_LT(tx_queued, tx_alone)
       << "queued jobs must pull CPU away from the tx app";
-  EXPECT_GT(aggregate.totals[0], per_job.totals[0])
+  EXPECT_GT(queued.totals[0], alone.totals[0])
       << "the placed job carries the queue's share";
 }
 
@@ -503,80 +507,62 @@ TEST(LoadDistributorFingerprintTest, CorpusDistributesAsRecorded) {
     Rng rng(seed);
     const SnapshotBuilder b = RandomDistributorSnapshot(rng);
     const PlacementSnapshot snap = b.Build();
-    for (const bool aggregate : {true, false}) {
-      LoadDistributor::Options options;
-      options.batch_aggregate = aggregate;
-      const LoadDistributor distributor(&snap, options);
-      DistributorScratch scratch;
-      DistributionResult r;
-      try {
-        r = distributor.Distribute(snap.current_placement(), scratch);
-      } catch (const std::logic_error& e) {
-        ADD_FAILURE() << "seed " << seed << " aggregate=" << aggregate << ": "
-                      << e.what();
-        continue;
-      }
-      const LoadMatrix loads = r.Loads();
-      for (int n = 0; n < snap.num_nodes(); ++n) {
-        EXPECT_LE(loads.NodeLoad(n), snap.NodeAvailableCpu(n) + 1e-6)
-            << "seed " << seed << " aggregate=" << aggregate << " node " << n;
-      }
-      for (int e = 0; e < snap.num_entities(); ++e) {
-        for (int n = 0; n < snap.num_nodes(); ++n) mix_double(loads.at(e, n));
-      }
-      for (const MHz total : r.totals) mix_double(total);
-      for (const Utility u : r.utilities) mix_double(u);
-      for (const bool placed : r.placed) mix(placed ? 1 : 0);
-      mix_double(r.batch_level);
-      mix(scratch.stats().flow_probes);
+    const LoadDistributor distributor(&snap);
+    DistributorScratch scratch;
+    DistributionResult r;
+    try {
+      r = distributor.Distribute(snap.current_placement(), scratch);
+    } catch (const std::logic_error& e) {
+      ADD_FAILURE() << "seed " << seed << ": " << e.what();
+      continue;
     }
+    const LoadMatrix loads = r.Loads();
+    for (int n = 0; n < snap.num_nodes(); ++n) {
+      EXPECT_LE(loads.NodeLoad(n), snap.NodeAvailableCpu(n) + 1e-6)
+          << "seed " << seed << " node " << n;
+    }
+    for (int e = 0; e < snap.num_entities(); ++e) {
+      for (int n = 0; n < snap.num_nodes(); ++n) mix_double(loads.at(e, n));
+    }
+    for (const MHz total : r.totals) mix_double(total);
+    for (const Utility u : r.utilities) mix_double(u);
+    for (const bool placed : r.placed) mix(placed ? 1 : 0);
+    mix_double(r.batch_level);
+    mix(scratch.stats().flow_probes);
   }
   std::printf("distribution fingerprint over %zu snapshots: 0x%016llx\n",
               seeds.size(), static_cast<unsigned long long>(h));
-  EXPECT_EQ(h, 0x0de70afdd854d048ULL);
+  EXPECT_EQ(h, 0x756c1b8951c65b34ULL);
 }
 
 TEST(LoadDistributorFingerprintTest, CorpusExercisesReroutingPaths) {
   // The max-flow takes direct source→entity→node→sink paths without a
   // search and runs a BFS only for paths that reroute earlier flow through
   // a reverse arc; where no node is shared it builds no network at all.
-  // The fingerprint pins every path only if the corpus needs each, in both
-  // bargaining modes.
-  std::uint64_t probes = 0;
-  std::uint64_t rerouting = 0;
-  std::uint64_t unshared[2] = {0, 0};  // per mode: per-job, aggregate
-  std::uint64_t shared[2] = {0, 0};
+  // The fingerprint pins every path only if the corpus needs each.
+  DistributorScratch::Stats total;
   for (std::uint64_t seed = 1; seed <= 1'000; ++seed) {
     Rng rng(seed);
     const SnapshotBuilder b = RandomDistributorSnapshot(rng);
     const PlacementSnapshot snap = b.Build();
-    for (const bool aggregate : {true, false}) {
-      LoadDistributor::Options options;
-      options.batch_aggregate = aggregate;
-      DistributorScratch scratch;
-      LoadDistributor(&snap, options).Distribute(snap.current_placement(),
-                                                 scratch);
-      const DistributorScratch::Stats& stats = scratch.stats();
-      probes += stats.flow_probes;
-      rerouting += stats.rerouting_paths;
-      unshared[aggregate] += stats.unshared_calls;
-      shared[aggregate] += stats.distribute_calls - stats.unshared_calls;
-    }
+    DistributorScratch scratch;
+    LoadDistributor(&snap).Distribute(snap.current_placement(), scratch);
+    const DistributorScratch::Stats& stats = scratch.stats();
+    total.distribute_calls += stats.distribute_calls;
+    total.flow_probes += stats.flow_probes;
+    total.rerouting_paths += stats.rerouting_paths;
+    total.unshared_calls += stats.unshared_calls;
   }
+  const std::uint64_t shared = total.distribute_calls - total.unshared_calls;
   std::printf("%llu rerouting paths over %llu flow probes; calls without / "
-              "with a shared node: aggregate %llu / %llu, per-job %llu / "
-              "%llu\n",
-              static_cast<unsigned long long>(rerouting),
-              static_cast<unsigned long long>(probes),
-              static_cast<unsigned long long>(unshared[1]),
-              static_cast<unsigned long long>(shared[1]),
-              static_cast<unsigned long long>(unshared[0]),
-              static_cast<unsigned long long>(shared[0]));
-  EXPECT_GT(rerouting, 0u);
-  for (const int mode : {0, 1}) {
-    EXPECT_GT(unshared[mode], 0u) << "aggregate=" << mode;
-    EXPECT_GT(shared[mode], 0u) << "aggregate=" << mode;
-  }
+              "with a shared node: %llu / %llu\n",
+              static_cast<unsigned long long>(total.rerouting_paths),
+              static_cast<unsigned long long>(total.flow_probes),
+              static_cast<unsigned long long>(total.unshared_calls),
+              static_cast<unsigned long long>(shared));
+  EXPECT_GT(total.rerouting_paths, 0u);
+  EXPECT_GT(total.unshared_calls, 0u);
+  EXPECT_GT(shared, 0u);
 }
 
 /// The placements a search scores around the incumbent: the current
@@ -643,44 +629,35 @@ TEST(LoadDistributorFingerprintTest, ReusedScratchMatchesFreshScratch) {
     const SnapshotBuilder b = RandomDistributorSnapshot(rng);
     const PlacementSnapshot snap = b.Build();
     const std::vector<PlacementMatrix> sequence = CandidateSequence(snap, rng);
-    for (const bool aggregate : {true, false}) {
-      LoadDistributor::Options options;
-      options.batch_aggregate = aggregate;
-      const LoadDistributor distributor(&snap, options);
-      DistributorScratch reused;
-      for (std::size_t k = 0; k < sequence.size(); ++k) {
-        const std::uint64_t probes_before = reused.stats().flow_probes;
-        const DistributionResult r =
-            distributor.Distribute(sequence[k], reused);
-        DistributorScratch fresh;
-        const DistributionResult expected =
-            distributor.Distribute(sequence[k], fresh);
-        EXPECT_EQ(ResultBits(r), ResultBits(expected))
-            << "seed " << seed << " aggregate=" << aggregate << " candidate "
-            << k;
-        EXPECT_EQ(reused.stats().flow_probes - probes_before,
-                  fresh.stats().flow_probes)
-            << "seed " << seed << " aggregate=" << aggregate << " candidate "
-            << k;
-      }
-      decompositions += reused.stats().decompositions;
-      reuses += reused.stats().decomposition_reuses;
-      if (seed % 40 != 0) continue;
-      // The distribution a search commits came from its lane scratch, and
-      // for a changed placement from the change-based Distribute: it must
-      // match a fresh dense Distribute of the committed placement, loads
-      // included.
-      PlacementOptimizer::Options search;
-      search.evaluator.distributor = options;
-      search.search_threads = 1;
-      const PlacementOptimizer::Result result =
-          PlacementOptimizer(&snap, search).Optimize();
+    const LoadDistributor distributor(&snap);
+    DistributorScratch reused;
+    for (std::size_t k = 0; k < sequence.size(); ++k) {
+      const std::uint64_t probes_before = reused.stats().flow_probes;
+      const DistributionResult r = distributor.Distribute(sequence[k], reused);
       DistributorScratch fresh;
-      EXPECT_EQ(ResultBits(result.evaluation.distribution),
-                ResultBits(distributor.Distribute(result.placement, fresh)))
-          << "seed " << seed << " aggregate=" << aggregate << " search";
-      ++searches;
+      const DistributionResult expected =
+          distributor.Distribute(sequence[k], fresh);
+      EXPECT_EQ(ResultBits(r), ResultBits(expected))
+          << "seed " << seed << " candidate " << k;
+      EXPECT_EQ(reused.stats().flow_probes - probes_before,
+                fresh.stats().flow_probes)
+          << "seed " << seed << " candidate " << k;
     }
+    decompositions += reused.stats().decompositions;
+    reuses += reused.stats().decomposition_reuses;
+    if (seed % 20 != 0) continue;
+    // The distribution a search commits came from its lane scratch, and for
+    // a changed placement from the change-based Distribute: it must match a
+    // fresh dense Distribute of the committed placement, loads included.
+    PlacementOptimizer::Options search;
+    search.search_threads = 1;
+    const PlacementOptimizer::Result result =
+        PlacementOptimizer(&snap, search).Optimize();
+    DistributorScratch fresh;
+    EXPECT_EQ(ResultBits(result.evaluation.distribution),
+              ResultBits(distributor.Distribute(result.placement, fresh)))
+        << "seed " << seed << " search";
+    ++searches;
   }
   std::printf("%d searches committed\n", searches);
   std::printf("%llu of %llu node decompositions reused\n",
