@@ -50,10 +50,6 @@
 #define MWP_RELEASE(...) \
   MWP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability when it returns `ret`.
-#define MWP_TRY_ACQUIRE(ret, ...) \
-  MWP_THREAD_ANNOTATION(try_acquire_capability(ret, __VA_ARGS__))
-
 /// Caller must NOT hold the listed capabilities (deadlock prevention).
 #define MWP_EXCLUDES(...) MWP_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
@@ -85,7 +81,6 @@ class MWP_CAPABILITY("mutex") Mutex {
 
   void Lock() MWP_ACQUIRE() { mu_.lock(); }
   void Unlock() MWP_RELEASE() { mu_.unlock(); }
-  bool TryLock() MWP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class MutexLock;

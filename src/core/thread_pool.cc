@@ -162,18 +162,14 @@ void ThreadPool::ParallelFor(
 bool ThreadPool::TrySubmit(std::function<void()> task) {
   if (!task || threads_.empty()) return false;
   State& s = *state_;
-  // Never block the caller: a contended pool lock (a batch being published
-  // or another submitter) counts as "busy now, try again later".
-  if (!s.mu.TryLock()) return false;
-  bool accepted = false;
-  if (!s.task_pending) {
-    s.task = std::move(task);
-    s.task_pending = true;
-    s.work_cv.notify_one();
-    accepted = true;
-  }
-  s.mu.Unlock();
-  return accepted;
+  // Taking the lock does not stall the caller: every critical section on mu
+  // is O(1) and every wait on it releases it.
+  MutexLock lock(s.mu);
+  if (s.task_pending) return false;
+  s.task = std::move(task);
+  s.task_pending = true;
+  s.work_cv.notify_one();
+  return true;
 }
 
 }  // namespace mwp

@@ -365,27 +365,21 @@ class NanRate : public ArrivalRateProfile {
 
 /// Runs one async full cycle for a controller whose solve throws, and
 /// expects Stop() to rethrow the solve's check failure. The one-worker pool
-/// starts with its worker held in a latch-blocked task, so the pool lock is
-/// uncontended when the service submits. With `slot_taken`, a second
-/// blocked task fills the pool's one-deep slot: TrySubmit refuses and the
-/// service solves inline on its control thread. Without it, the pool takes
-/// the solve and runs it on the worker once the latch opens.
+/// starts with its worker held in a latch-blocked task. With `slot_taken`,
+/// a second blocked task fills the pool's one-deep slot: TrySubmit refuses
+/// and the service solves inline on its control thread. Without it, the
+/// pool takes the solve and runs it on the worker once the latch opens.
 void ExpectStopRethrowsSolveError(bool slot_taken) {
   std::latch release(1);
   std::atomic<bool> worker_held{false};
   ThreadPool pool(1);
-  // TrySubmit also refuses while the pool lock is contended, so retry.
-  while (!pool.TrySubmit([&] {
+  ASSERT_TRUE(pool.TrySubmit([&] {
     worker_held.store(true);
     release.wait();
-  })) {
-    std::this_thread::yield();
-  }
+  }));
   while (!worker_held.load()) std::this_thread::yield();
   if (slot_taken) {
-    while (!pool.TrySubmit([&release] { release.wait(); })) {
-      std::this_thread::yield();
-    }
+    ASSERT_TRUE(pool.TrySubmit([&release] { release.wait(); }));
   }
 
   ClusterSpec cluster = ClusterSpec::Uniform(

@@ -79,6 +79,22 @@ TEST(ThreadPoolTrySubmitTest, TaskRunsOnAWorker) {
   while (!ran.load()) std::this_thread::yield();
 }
 
+TEST(ThreadPoolTrySubmitTest, FreeSlotIsAlwaysAccepted) {
+  // Each submission follows the previous task's run, so the one-deep slot
+  // is free every time, whatever the workers are doing with the pool lock.
+  ThreadPool pool(2);
+  std::atomic<int> runs{0};
+  int refused = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    if (!pool.TrySubmit([&] { runs.fetch_add(1); })) {
+      ++refused;
+      continue;
+    }
+    while (runs.load() < i + 1 - refused) std::this_thread::yield();
+  }
+  EXPECT_EQ(refused, 0);
+}
+
 TEST(ThreadPoolTrySubmitTest, ZeroWorkerPoolRefusesInsteadOfRunningInline) {
   // TrySubmit promises asynchrony; with no workers there is nobody to be
   // asynchronous on, so the caller must get a refusal (and solve inline
@@ -147,6 +163,7 @@ TEST(ThreadPoolTrySubmitTest, ThrowingTaskIsContainedAndPoolSurvives) {
   ASSERT_TRUE(pool.TrySubmit([] { throw std::runtime_error("task boom"); }));
   // The exception is swallowed (logged) on the worker; subsequent work runs.
   std::atomic<bool> ran{false};
+  // The slot stays taken until the worker claims the throwing task.
   while (!pool.TrySubmit([&] { ran.store(true); })) {
     std::this_thread::yield();
   }
