@@ -1,6 +1,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -27,9 +28,13 @@ PlacementSnapshot::PlacementSnapshot(const ClusterSpec* cluster, Seconds now,
     }
   }
   for (int w = 0; w < num_tx(); ++w) {
-    for (NodeId n : tx_apps_[static_cast<std::size_t>(w)].current_nodes) {
-      current_.at(EntityOfTx(w), n) += 1;
-    }
+    const TxView& view = tx_apps_[static_cast<std::size_t>(w)];
+    // A negative rate would read as quiesced and NaN would fail only later,
+    // inside the solve.
+    MWP_CHECK_MSG(std::isfinite(view.arrival_rate) && view.arrival_rate >= 0.0,
+                  "tx app " << view.id << " arrival rate " << view.arrival_rate
+                            << " is not a finite non-negative rate");
+    for (NodeId n : view.current_nodes) current_.at(EntityOfTx(w), n) += 1;
   }
   entity_memory_.reserve(static_cast<std::size_t>(num_entities()));
   for (const JobView& v : jobs_) entity_memory_.push_back(v.memory);

@@ -50,7 +50,9 @@ struct JobView {
 struct TxView {
   AppId id = kInvalidApp;
   const TransactionalApp* app = nullptr;
-  double arrival_rate = 0.0;  ///< λ measured by the router this cycle
+  /// λ measured by the router this cycle: finite and non-negative (the
+  /// snapshot's constructor checks it), 0 when quiesced.
+  double arrival_rate = 0.0;
   Megabytes memory = 0.0;     ///< load-independent demand per instance
   int max_instances = 0;      ///< 0 = one per node
   std::vector<NodeId> current_nodes;

@@ -354,12 +354,13 @@ TEST(ControllerServiceStressTest, BadKarmaConfigRejectedBeforeAsyncSolve) {
   EXPECT_EQ(controller.cycles().size(), 1u);
 }
 
-/// A tx load profile whose rate is NaN: CaptureCycle accepts it, and the
-/// solve then fails the queuing model's `arrival_rate > 0.0` check.
-class NanRate : public ArrivalRateProfile {
+/// A tx load profile whose rate is the largest finite double: CaptureCycle
+/// accepts it, and in the solve the queuing model's stability boundary λ·c
+/// overflows, so the model's saturation check throws.
+class OverflowingRate : public ArrivalRateProfile {
  public:
   double RateAt(Seconds) const override {
-    return std::numeric_limits<double>::quiet_NaN();
+    return std::numeric_limits<double>::max();
   }
 };
 
@@ -396,7 +397,7 @@ void ExpectStopRethrowsSolveError(bool slot_taken) {
   tx.response_time_goal = 0.5;
   tx.demand_per_request = 250.0;
   tx.min_response_time = 0.05;
-  controller.AddTransactionalApp(tx, std::make_shared<NanRate>());
+  controller.AddTransactionalApp(tx, std::make_shared<OverflowingRate>());
 
   obs::MetricsRegistry metrics;
   ControllerService::Config svc_cfg;
@@ -422,7 +423,7 @@ void ExpectStopRethrowsSolveError(bool slot_taken) {
     service.Stop();
     ADD_FAILURE() << "Stop() returned without rethrowing the solve's error";
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("arrival_rate > 0.0"),
+    EXPECT_NE(std::string(e.what()).find("stability boundary"),
               std::string::npos)
         << e.what();
   }

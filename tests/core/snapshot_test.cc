@@ -4,6 +4,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -188,6 +191,30 @@ TEST(SnapshotTest, CaptureWithTxInputs) {
   EXPECT_DOUBLE_EQ(snap.tx(0).arrival_rate, 123.0);
   EXPECT_EQ(snap.current_placement().at(0, 0), 1);
   EXPECT_EQ(snap.current_placement().at(0, 1), 1);
+}
+
+TEST(SnapshotTest, RejectsNonFiniteOrNegativeTxRates) {
+  // A negative rate would read as quiesced and NaN would fail only inside
+  // the solve; Capture, cell slices and replay all construct a snapshot.
+  const ClusterSpec cluster = TinyCluster(1);
+  JobQueue queue;
+  TransactionalApp app{TxSpec(77)};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                            -kInf, -1.0}) {
+    try {
+      PlacementSnapshot::Capture(cluster, 0.0, 1.0, queue,
+                                 VmCostModel::Free(), {{&app, rate, {0}}});
+      ADD_FAILURE() << "rate " << rate << " accepted";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("tx app 77 arrival rate"), std::string::npos)
+          << what;
+    }
+  }
+  const PlacementSnapshot quiesced = PlacementSnapshot::Capture(
+      cluster, 0.0, 1.0, queue, VmCostModel::Free(), {{&app, 0.0, {0}}});
+  EXPECT_DOUBLE_EQ(quiesced.tx(0).arrival_rate, 0.0);
 }
 
 TEST(SnapshotTest, CapturesNodeHealthAtConstruction) {
