@@ -45,24 +45,28 @@ std::string CommandLine::GetString(const std::string& name,
 double CommandLine::GetDouble(const std::string& name, double def) const {
   const std::string* v = Find(name);
   if (v == nullptr) return def;
+  std::size_t used = 0;
   try {
-    return std::stod(*v);
+    const double value = std::stod(*v, &used);
+    if (used == v->size()) return value;  // the whole value parsed
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                *v + "'");
   }
+  throw std::invalid_argument("flag --" + name + " expects a number, got '" +
+                              *v + "'");
 }
 
 std::int64_t CommandLine::GetInt(const std::string& name,
                                  std::int64_t def) const {
   const std::string* v = Find(name);
   if (v == nullptr) return def;
+  std::size_t used = 0;
   try {
-    return std::stoll(*v);
+    const std::int64_t value = std::stoll(*v, &used);
+    if (used == v->size()) return value;  // the whole value parsed
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name +
-                                " expects an integer, got '" + *v + "'");
   }
+  throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
+                              *v + "'");
 }
 
 bool CommandLine::GetBool(const std::string& name, bool def) const {

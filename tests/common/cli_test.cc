@@ -46,6 +46,10 @@ TEST(CommandLineTest, MalformedNumberThrows) {
   auto cli = Parse({"--n=abc"});
   EXPECT_THROW(cli.GetInt("n", 0), std::invalid_argument);
   EXPECT_THROW(cli.GetDouble("n", 0.0), std::invalid_argument);
+  // The whole value must parse, not just a leading number.
+  EXPECT_THROW(Parse({"--n=12x"}).GetInt("n", 0), std::invalid_argument);
+  EXPECT_THROW(Parse({"--d=0.5abc"}).GetDouble("d", 0.0),
+               std::invalid_argument);
 }
 
 TEST(CommandLineTest, MalformedBoolThrows) {
@@ -58,6 +62,7 @@ TEST(CommandLineTest, GetSeedParsesAndValidates) {
   EXPECT_EQ(Parse({}).GetSeed(7), 7u);
   EXPECT_THROW(Parse({"--seed=-3"}).GetSeed(7), std::invalid_argument);
   EXPECT_THROW(Parse({"--seed=xyz"}).GetSeed(7), std::invalid_argument);
+  EXPECT_THROW(Parse({"--seed=42z"}).GetSeed(7), std::invalid_argument);
 }
 
 TEST(CommandLineTest, UnreadFlagsAreRejected) {
