@@ -17,7 +17,8 @@
 //   0  every replayed cycle agrees (no placement diff, drift <= tolerance)
 //   1  regression: placement delta, RP/allocation drift above tolerance,
 //      a malformed trace, or a trace with no replayable cycles
-//   2  usage error
+//   2  usage error: an unknown flag, a malformed or out-of-range value
+//      (CommandLine and RunMain, as in every bench and example binary)
 //
 // --report writes the same diff report to a file (for CI artifacts).
 //
@@ -32,28 +33,27 @@
 // offline tuning on production traces. Overridden replays are what-if
 // experiments: divergence from the recorded decisions is reported per cycle
 // but never fails the exit status.
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "common/check.h"
+#include "common/cli.h"
 #include "replay/replay.h"
 #include "replay/trace_reader.h"
 
 namespace {
 
-int Usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " --trace TRACE.jsonl [--diff] [--tolerance EPS]"
-               " [--threads N] [--report FILE] [--verbose] [--quiet]"
-               " [--override-tie-tolerance EPS] [--override-sweeps N]"
-               " [--override-cell-size N]\n"
-            << "       " << argv0
-            << " --trace TRACE.jsonl --validate [--min-cycles N]\n";
-  return 2;
-}
+constexpr const char* kUsage =
+    " --trace TRACE.jsonl [--diff] [--tolerance EPS] [--threads N]"
+    " [--report FILE] [--verbose] [--quiet] [--override-tie-tolerance EPS]"
+    " [--override-sweeps N] [--override-cell-size N]\n"
+    "       replay_apc --trace TRACE.jsonl --validate [--min-cycles N]\n";
 
 /// Strict parse plus ValidateTrace, without replaying.
 int Validate(const std::string& path, int min_cycles) {
@@ -69,86 +69,56 @@ int Validate(const std::string& path, int min_cycles) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string trace_path;
-  std::string report_path;
+int Run(const mwp::CommandLine& cli) {
+  const std::vector<std::string>& positional = cli.positional();
+  if (cli.GetBool("help", false) ||
+      std::find(positional.begin(), positional.end(), "-h") !=
+          positional.end()) {
+    std::cout << "usage: replay_apc" << kUsage;
+    return 0;
+  }
+  const std::string trace_path = cli.GetString("trace", "");
+  const std::string report_path = cli.GetString("report", "");
   mwp::replay::ReplayOptions options;
-  bool verbose = false;
-  bool quiet = false;
-  bool validate = false;
+  options.rp_tolerance = cli.GetDouble("tolerance", options.rp_tolerance);
+  options.search_threads =
+      static_cast<int>(cli.GetInt("threads", options.search_threads));
+  if (cli.Has("override-tie-tolerance")) {
+    options.override_tie_tolerance =
+        cli.GetDouble("override-tie-tolerance", 0.0);
+  }
+  if (cli.Has("override-sweeps")) {
+    options.override_sweeps =
+        static_cast<int>(cli.GetInt("override-sweeps", 0));
+  }
+  if (cli.Has("override-cell-size")) {
+    options.override_cell_size =
+        static_cast<int>(cli.GetInt("override-cell-size", 0));
+  }
   std::optional<int> min_cycles;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      const char* v = next("--trace");
-      if (v == nullptr) return Usage(argv[0]);
-      trace_path = v;
-    } else if (arg == "--report") {
-      const char* v = next("--report");
-      if (v == nullptr) return Usage(argv[0]);
-      report_path = v;
-    } else if (arg == "--tolerance") {
-      const char* v = next("--tolerance");
-      if (v == nullptr) return Usage(argv[0]);
-      options.rp_tolerance = std::strtod(v, nullptr);
-    } else if (arg == "--threads") {
-      const char* v = next("--threads");
-      if (v == nullptr) return Usage(argv[0]);
-      options.search_threads = std::atoi(v);
-    } else if (arg == "--override-tie-tolerance") {
-      const char* v = next("--override-tie-tolerance");
-      if (v == nullptr) return Usage(argv[0]);
-      options.override_tie_tolerance = std::strtod(v, nullptr);
-    } else if (arg == "--override-sweeps") {
-      const char* v = next("--override-sweeps");
-      if (v == nullptr) return Usage(argv[0]);
-      options.override_sweeps = std::atoi(v);
-    } else if (arg == "--override-cell-size") {
-      const char* v = next("--override-cell-size");
-      if (v == nullptr) return Usage(argv[0]);
-      options.override_cell_size = std::atoi(v);
-    } else if (arg == "--min-cycles") {
-      const char* v = next("--min-cycles");
-      if (v == nullptr) return Usage(argv[0]);
-      min_cycles = std::atoi(v);
-      if (*min_cycles < 0) {
-        std::cerr << "--min-cycles must not be negative\n";
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--validate") {
-      validate = true;
-    } else if (arg == "--diff") {
-      // Diffing is the default mode; accepted for CLI-contract clarity.
-    } else if (arg == "--verbose") {
-      verbose = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::cerr << "unknown argument '" << arg << "'\n";
-      return Usage(argv[0]);
-    }
+  if (cli.Has("min-cycles")) {
+    min_cycles = static_cast<int>(cli.GetInt("min-cycles", 1));
   }
-  if (trace_path.empty()) {
-    std::cerr << "--trace is required\n";
-    return Usage(argv[0]);
+  const bool validate = cli.GetBool("validate", false);
+  // Diffing is the default mode; --diff is accepted for clarity.
+  cli.GetBool("diff", false);
+  const bool verbose = cli.GetBool("verbose", false);
+  const bool quiet = cli.GetBool("quiet", false);
+  cli.RejectUnknownFlags();
+  if (!positional.empty()) {
+    throw std::invalid_argument("unexpected argument '" + positional.front() +
+                                "'");
   }
+  if (trace_path.empty()) throw std::invalid_argument("--trace is required");
   if (min_cycles.has_value() && !validate) {
-    std::cerr << "--min-cycles applies only with --validate\n";
-    return Usage(argv[0]);
+    throw std::invalid_argument("--min-cycles applies only with --validate");
   }
+  // Values the solver would refuse for every cycle, blaming the trace.
+  MWP_CHECK(options.search_threads >= 0);
+  MWP_CHECK(options.override_tie_tolerance.value_or(0.0) >= 0.0);
+  MWP_CHECK(options.override_sweeps.value_or(1) >= 1);
+  MWP_CHECK(options.override_cell_size.value_or(0) >= 0);
+  MWP_CHECK(min_cycles.value_or(0) >= 0);
   if (validate) return Validate(trace_path, min_cycles.value_or(1));
 
   std::string error;
@@ -180,3 +150,7 @@ int main(int argc, char** argv) {
   }
   return report.ok() ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return mwp::RunMain(argc, argv, Run); }
