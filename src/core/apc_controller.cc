@@ -370,7 +370,7 @@ void ApcController::CommitCycle(const CycleCapture& capture,
   ++cycle_index_;
   next_cycle_trigger_.clear();
 
-  if (config_.record_cycles) cycles_.push_back(std::move(stats));
+  cycles_.push_back(std::move(stats));
   MWP_LOG_DEBUG << "cycle t=" << now << " jobs=" << snapshot.num_jobs()
                 << " evals=" << result.evaluations
                 << " solver=" << solution.solver_seconds << "s";
@@ -510,16 +510,15 @@ obs::CycleInputRecord BuildInputRecord(const PlacementSnapshot& snapshot,
   }
 
   in.options.max_sweeps = options.max_sweeps;
-  in.options.max_changes_per_node = options.max_changes_per_node;
-  in.options.max_wishes_tried = options.max_wishes_tried;
-  in.options.max_migrations_tried = options.max_migrations_tried;
-  in.options.max_evaluations = options.max_evaluations;
+  // The build's constants: no evaluation budget (0), the default sampling
+  // grid (empty) and aggregate bargaining keep the struct's defaults.
+  in.options.max_changes_per_node = PlacementOptimizer::kMaxChangesPerNode;
+  in.options.max_wishes_tried = PlacementOptimizer::kMaxWishesTried;
+  in.options.max_migrations_tried = PlacementOptimizer::kMaxMigrationsTried;
   in.options.tie_tolerance = options.evaluator.tie_tolerance;
-  in.options.grid = options.evaluator.grid;
   in.options.level_tolerance = options.evaluator.distributor.level_tolerance;
   in.options.probe_delta = options.evaluator.distributor.probe_delta;
   in.options.bisection_iters = options.evaluator.distributor.bisection_iters;
-  in.options.batch_aggregate = options.evaluator.distributor.batch_aggregate;
   in.options.cell_size = config.shard_cell_size;
   in.options.partition_seed = config.shard_partition_seed;
   in.options.max_cross_cell_moves = config.shard_max_cross_cell_moves;

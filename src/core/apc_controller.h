@@ -158,7 +158,6 @@ class ApcController {
     /// true value) then drives placement. Off by default so experiments use
     /// the exact published models.
     bool use_work_profiler = false;
-    bool record_cycles = true;
     /// Also record per-job allocations and predictions each cycle (heavier;
     /// meant for small illustrative runs).
     bool record_job_details = false;
@@ -359,8 +358,7 @@ class ApcController {
   int pending_quick_starts_ = 0;
   int pending_quick_resumes_ = 0;
   int pending_failed_ops_ = 0;
-  /// Control cycles run so far (CycleTrace sequence numbers; counted even
-  /// when record_cycles is off).
+  /// Control cycles run so far (CycleTrace sequence numbers).
   int cycle_index_ = 0;
   /// Trigger tag for the next committed cycle's trace record; empty =
   /// periodic (legacy exports unchanged). Consumed by CommitCycle.

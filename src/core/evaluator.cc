@@ -29,7 +29,6 @@ PlacementEvaluator::PlacementEvaluator(const PlacementSnapshot* snapshot,
       distributor_(snapshot, options_.distributor) {
   MWP_CHECK(snapshot_ != nullptr);
   options_.Validate();
-  grid_ = options_.grid.empty() ? HypotheticalRpf::DefaultGrid() : options_.grid;
 
   const PlacementSnapshot& snap = *snapshot_;
   removal_is_suspend_.assign(static_cast<std::size_t>(snap.num_entities()),

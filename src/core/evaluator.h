@@ -83,8 +83,6 @@ class PlacementEvaluator {
     /// jobs under overload — the "no placement changes" behaviour of §5.1.
     double tie_tolerance = 0.02;
     LoadDistributor::Options distributor;
-    /// Sampling grid for the hypothetical RPF; empty = default grid.
-    std::vector<double> grid;
     /// true: memoize per-job hypothetical-RPF columns across Evaluate calls
     /// and reuse scratch buffers. false: rebuild everything from scratch
     /// each call (the reference path the equivalence tests compare
@@ -155,8 +153,9 @@ class PlacementEvaluator {
   /// evaluator's.
   std::uint64_t id_ = NewScratchOwnerId();
   LoadDistributor distributor_;
-  /// The resolved sampling grid (options_.grid or the default).
-  std::vector<double> grid_;
+  /// The hypothetical RPF's sampling grid: HypotheticalRpf::DefaultGrid(),
+  /// the distributor's too.
+  std::vector<double> grid_ = HypotheticalRpf::DefaultGrid();
   /// Change-kind lookups, fixed per snapshot: removals of incomplete jobs
   /// are suspensions; additions of previously suspended jobs are resumes.
   std::vector<bool> removal_is_suspend_;

@@ -38,15 +38,14 @@ auto& At(Vector& v, int i) {
 }  // namespace
 
 struct LoadDistributor::FillEntity {
-  enum class Kind { kJob, kTx, kBatch };
+  enum class Kind { kTx, kBatch };
 
-  Kind kind = Kind::kJob;
-  /// Snapshot entity index for kJob/kTx; -1 for the batch aggregate.
+  Kind kind = Kind::kTx;
+  /// Snapshot entity index for kTx; -1 for the batch aggregate.
   int entity = -1;
   std::unique_ptr<Rpf> rpf;  // null for trivially satisfied entities
   std::vector<int> nodes;
   std::vector<MHz> edge_caps;  // per nodes[i]
-  MHz min_alloc = 0.0;
   bool active = false;
   MHz fixed_demand = 0.0;
   Utility fixed_utility = kUtilityFloor;
@@ -92,7 +91,7 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
     : snapshot_(snapshot), options_(std::move(options)) {
   MWP_CHECK(snapshot_ != nullptr);
   options_.Validate();
-  if (options_.batch_aggregate && snapshot_->num_jobs() > 0) {
+  if (snapshot_->num_jobs() > 0) {
     // The aggregate demand curve over every incomplete job, evaluated at the
     // snapshot instant. Start delays reflect the jobs' *current* status; the
     // small per-candidate differences (boot vs resume latency) are scored by
@@ -121,8 +120,8 @@ LoadDistributor::LoadDistributor(const PlacementSnapshot* snapshot,
 LoadMatrix DistributionResult::Loads() const {
   const auto jobs = static_cast<int>(job_nodes.size());
   LoadMatrix loads(static_cast<int>(totals.size()), tx_loads.num_nodes());
-  // What the decomposition (batch mode) and the per-job branch write: the
-  // job's total on its node. An unrouted job's total is +0.0, the fill.
+  // What the decomposition writes: the job's total on its node. An unrouted
+  // job's total is +0.0, the fill.
   for (int j = 0; j < jobs; ++j) {
     const int node = job_nodes[static_cast<std::size_t>(j)];
     if (node != kInvalidNode) {
@@ -143,51 +142,32 @@ std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
   const PlacementSnapshot& snap = *snapshot_;
   std::vector<FillEntity> entities;
 
-  if (options_.batch_aggregate) {
-    // One entity for the whole batch workload, routed through the placed
-    // job instances. Per-node caps accumulate jobs in index order (the
-    // addition order determines the exact double). Distribute's
-    // feasibility precondition leaves a job at most one instance: its node.
-    FillEntity batch;
-    std::vector<MHz> node_cap(static_cast<std::size_t>(snap.num_nodes()), 0.0);
-    for (int j = 0; j < snap.num_jobs(); ++j) {
-      const int n = job_nodes[static_cast<std::size_t>(j)];
-      if (n == kInvalidNode) continue;
-      node_cap[static_cast<std::size_t>(n)] +=
-          stage_caps_[static_cast<std::size_t>(j)];
+  // One entity for the whole batch workload, routed through the placed job
+  // instances. Per-node caps accumulate jobs in index order (the addition
+  // order determines the exact double). Distribute's feasibility
+  // precondition leaves a job at most one instance: its node.
+  FillEntity batch;
+  batch.kind = FillEntity::Kind::kBatch;
+  std::vector<MHz> node_cap(static_cast<std::size_t>(snap.num_nodes()), 0.0);
+  for (int j = 0; j < snap.num_jobs(); ++j) {
+    const int n = job_nodes[static_cast<std::size_t>(j)];
+    if (n == kInvalidNode) continue;
+    node_cap[static_cast<std::size_t>(n)] +=
+        stage_caps_[static_cast<std::size_t>(j)];
+  }
+  for (int n = 0; n < snap.num_nodes(); ++n) {
+    if (node_cap[static_cast<std::size_t>(n)] > 0.0) {
+      batch.nodes.push_back(n);
+      batch.edge_caps.push_back(node_cap[static_cast<std::size_t>(n)]);
     }
-    for (int n = 0; n < snap.num_nodes(); ++n) {
-      if (node_cap[static_cast<std::size_t>(n)] > 0.0) {
-        batch.nodes.push_back(n);
-        batch.edge_caps.push_back(node_cap[static_cast<std::size_t>(n)]);
-      }
-    }
-    batch.kind = FillEntity::Kind::kBatch;
-    if (!batch.nodes.empty()) {
-      MWP_DCHECK(hypothetical_ != nullptr);
-      batch.rpf = std::make_unique<BatchAggregateRpf>(hypothetical_.get());
-      batch.active = true;
-      batch.max_u = batch.rpf->max_utility();
-      batch.demand_memo = &scratch.batch_demand_memo;
-      entities.push_back(std::move(batch));
-    }
-  } else {
-    for (int j = 0; j < snap.num_jobs(); ++j) {
-      const int node = job_nodes[static_cast<std::size_t>(j)];
-      if (node == kInvalidNode) continue;
-      const JobView& jv = snap.job(j);
-      FillEntity e;
-      e.kind = FillEntity::Kind::kJob;
-      e.entity = snap.EntityOfJob(j);
-      e.nodes = {node};
-      e.edge_caps = {stage_caps_[static_cast<std::size_t>(j)]};
-      e.min_alloc = jv.min_speed;
-      e.rpf = std::make_unique<JobCompletionRpf>(
-          jv.profile, jv.goal, jv.work_done, JobExecStart(snap, jv, node));
-      e.active = true;
-      e.max_u = e.rpf->max_utility();
-      entities.push_back(std::move(e));
-    }
+  }
+  if (!batch.nodes.empty()) {
+    MWP_DCHECK(hypothetical_ != nullptr);
+    batch.rpf = std::make_unique<BatchAggregateRpf>(hypothetical_.get());
+    batch.active = true;
+    batch.max_u = batch.rpf->max_utility();
+    batch.demand_memo = &scratch.batch_demand_memo;
+    entities.push_back(std::move(batch));
   }
 
   for (int w = 0; w < snap.num_tx(); ++w) {
@@ -756,16 +736,6 @@ DistributionResult LoadDistributor::DistributeFeasible(
                                scratch, result);
           }
         }
-        break;
-      }
-      case FillEntity::Kind::kJob: {
-        const auto entity = static_cast<std::size_t>(e.entity);
-        MHz total = e.fixed_demand;
-        // A job below its stage minimum speed must pause instead (§4.1).
-        if (total > 0.0 && total + 1e-9 < e.min_alloc) total = 0.0;
-        result.totals[entity] = total;
-        result.utilities[entity] =
-            e.rpf != nullptr ? e.rpf->UtilityAt(total) : e.fixed_utility;
         break;
       }
       case FillEntity::Kind::kTx: {

@@ -20,8 +20,7 @@
 // Experiment Three demonstrates. The granted aggregate is routed through
 // the placed job instances (per-instance cap: the job's stage ω_max) and
 // then decomposed within each node by equalizing the local jobs' completion
-// RPFs. A per-job bargaining mode (each placed job negotiates with its own
-// completion RPF) is retained as an ablation.
+// RPFs.
 //
 // Distribute is called once per candidate placement — hundreds to thousands
 // of times per control cycle — so all per-call state lives in a reusable
@@ -87,7 +86,7 @@ struct DistributionResult {
   /// Whether the entity had at least one instance in the placement.
   std::vector<bool> placed;
   /// The level the batch aggregate reached; NaN when the placement hosts no
-  /// batch entity (no placed jobs, or per-job bargaining mode).
+  /// batch entity (no placed jobs).
   Utility batch_level = std::numeric_limits<double>::quiet_NaN();
   /// Per job: the node hosting it, kInvalidNode when unplaced.
   std::vector<int> job_nodes;
@@ -175,8 +174,7 @@ class DistributorScratch {
   std::vector<MHz> demands;
   std::vector<std::vector<MHz>> routing;
 
-  // Batch-mode decomposition: the per-node job groups for the final
-  // assembly.
+  // Batch decomposition: the per-node job groups for the final assembly.
   std::vector<std::vector<int>> node_jobs;
 
   /// Batch aggregate demand curve memo: clamped level bits → Eq. 6
@@ -210,10 +208,6 @@ class LoadDistributor {
     /// Probe step used to detect resource-bottlenecked entities.
     double probe_delta = 1e-3;
     int bisection_iters = 48;
-    /// true: the paper's model — the batch workload bargains as one
-    /// hypothetical-aggregate entity. false: each placed job bargains
-    /// individually (ablation; ignores queued jobs' needs).
-    bool batch_aggregate = true;
 
     /// Throws std::logic_error (MWP_CHECK) on an out-of-range field.
     void Validate() const;
@@ -240,11 +234,6 @@ class LoadDistributor {
                                 const CandidateChange& change,
                                 DistributorScratch& scratch) const;
 
-  /// The hypothetical RPF (at snapshot time, over all incomplete jobs)
-  /// driving the batch aggregate entity; null when the snapshot has no jobs
-  /// or per-job mode is selected.
-  const HypotheticalRpf* hypothetical() const { return hypothetical_.get(); }
-
  private:
   struct FillEntity;  // internal per-entity solver state
 
@@ -253,6 +242,8 @@ class LoadDistributor {
   /// NewScratchOwnerId(): tells a scratch whether its memos are this
   /// distributor's.
   std::uint64_t id_ = NewScratchOwnerId();
+  /// The hypothetical RPF (at snapshot time, over all incomplete jobs)
+  /// driving the batch aggregate entity; null when the snapshot has no jobs.
   std::unique_ptr<HypotheticalRpf> hypothetical_;
   /// Per job: its current stage's max speed, the cap of its instance.
   std::vector<MHz> stage_caps_;

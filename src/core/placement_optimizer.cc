@@ -20,14 +20,12 @@ namespace {
 /// equal to it on return.
 class CandidateStream {
  public:
-  CandidateStream(const PlacementEvaluator& evaluator,
-                  const PlacementOptimizer::Options& options, int node,
+  CandidateStream(const PlacementEvaluator& evaluator, int node,
                   const IncumbentIndex& index, PlacementMatrix& work,
                   const PlacementEvaluation& best_eval,
                   const std::vector<int>& wishes)
       : snap_(evaluator.snapshot()),
         evaluator_(evaluator),
-        options_(options),
         node_(node),
         index_(index),
         work_(work),
@@ -98,7 +96,8 @@ class CandidateStream {
 
   /// The next feasible wish added to the base configuration work_ holds.
   bool NextWishOnBase(CandidateChange* out) {
-    while (wish_pos_ < wishes_.size() && tried_ < options_.max_wishes_tried) {
+    while (wish_pos_ < wishes_.size() &&
+           tried_ < PlacementOptimizer::kMaxWishesTried) {
       const int w = wishes_[wish_pos_++];
       if (snap_.IsJobEntity(w)) {
         // A wished job is unplaced in the incumbent, so in every base.
@@ -130,7 +129,7 @@ class CandidateStream {
       mig_free_ready_ = true;
     }
     while (donor_pos_ < donors_.size() &&
-           mig_tried_ < options_.max_migrations_tried) {
+           mig_tried_ < PlacementOptimizer::kMaxMigrationsTried) {
       const int donor = donors_[donor_pos_++];
       if (snap_.EntityMemory(donor) > mig_free_ + kEpsilon) continue;
       const int from =
@@ -151,7 +150,6 @@ class CandidateStream {
 
   const PlacementSnapshot& snap_;
   const PlacementEvaluator& evaluator_;
-  const PlacementOptimizer::Options& options_;
   const int node_;
   const IncumbentIndex& index_;
   PlacementMatrix& work_;
@@ -207,10 +205,6 @@ struct PlacementOptimizer::Incumbent {
 
 void PlacementOptimizer::Options::Validate() const {
   MWP_CHECK(max_sweeps >= 1);
-  MWP_CHECK(max_changes_per_node >= 1);
-  MWP_CHECK(max_wishes_tried >= 1);
-  MWP_CHECK(max_migrations_tried >= 0);
-  MWP_CHECK(max_evaluations >= 0);
   MWP_CHECK(search_threads >= 0);
   evaluator.Validate();
 }
@@ -272,15 +266,14 @@ std::vector<int> PlacementOptimizer::WishList(
 bool PlacementOptimizer::TryImproveNode(int node, Result& result,
                                         Incumbent& incumbent) const {
   const std::vector<int> wishes = WishList(result.placement, result.evaluation);
-  CandidateStream stream(evaluator_, options_, node, incumbent.index,
-                         incumbent.lanes[0], result.evaluation, wishes);
+  CandidateStream stream(evaluator_, node, incumbent.index, incumbent.lanes[0],
+                         result.evaluation, wishes);
   std::vector<CandidateChange>& chunk = incumbent.chunk;
 
   if (lanes_ <= 1) {
     CandidateChange& change = chunk[0];
     PlacementMatrix& candidate = incumbent.lanes[0];
     while (stream.Next(&change)) {
-      if (!EvaluationBudgetLeft(result)) return false;
       change.ApplyTo(candidate);
       PlacementEvaluation cand_eval =
           evaluator_.Evaluate(candidate, incumbent.index, change,
@@ -297,24 +290,16 @@ bool PlacementOptimizer::TryImproveNode(int node, Result& result,
     return false;
   }
 
-  // Parallel search: pull a chunk of candidates (never more than the
-  // evaluation budget allows), score them concurrently, each lane on its
-  // own copy of the incumbent, then commit the first winner in enumeration
-  // order. Candidates past the winner are speculative work the sequential
-  // order never reaches — their results are discarded and they do not
-  // count as evaluations.
+  // Parallel search: pull a chunk of candidates, score them concurrently,
+  // each lane on its own copy of the incumbent, then commit the first
+  // winner in enumeration order. Candidates past the winner are speculative
+  // work the sequential order never reaches — their results are discarded
+  // and they do not count as evaluations.
   const std::size_t chunk_target = static_cast<std::size_t>(lanes_) * 2;
   std::vector<PlacementEvaluation> evals;
   for (;;) {
-    std::size_t budget_left = chunk_target;
-    if (options_.max_evaluations != 0) {
-      if (result.evaluations >= options_.max_evaluations) return false;
-      budget_left = static_cast<std::size_t>(options_.max_evaluations -
-                                             result.evaluations);
-    }
-    const std::size_t want = std::min(chunk_target, budget_left);
     std::size_t count = 0;
-    while (count < want) {
+    while (count < chunk_target) {
       if (chunk.size() == count) chunk.emplace_back();
       if (!stream.Next(&chunk[count])) break;
       ++count;
@@ -388,7 +373,6 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
   // better than nothing. Offer a whole-cluster expansion as one candidate.
   for (int w = 0; w < snap.num_tx(); ++w) {
     const int entity = snap.EntityOfTx(w);
-    if (!EvaluationBudgetLeft(result)) break;
     if (snap.tx(w).arrival_rate <= 1e-12) continue;
     PlacementMatrix candidate = result.placement;
     const int cap = snap.tx(w).max_instances;
@@ -441,7 +425,7 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
       candidate.at(w, best_node) += 1;
       added = true;
     }
-    if (added && snap.IsFeasible(candidate) && EvaluationBudgetLeft(result)) {
+    if (added && snap.IsFeasible(candidate)) {
       PlacementEvaluation cand_eval =
           evaluator_.Evaluate(candidate, scratches_[0], &result.evaluation);
       ++result.evaluations;
@@ -461,8 +445,7 @@ PlacementOptimizer::Result PlacementOptimizer::RunSearch() const {
       // A crashed node can host nothing; every candidate targeting it would
       // fail IsFeasible, so skip the whole stream.
       if (!snap.NodeOnline(node)) continue;
-      for (int change = 0; change < options_.max_changes_per_node; ++change) {
-        if (!EvaluationBudgetLeft(result)) return result;
+      for (int change = 0; change < kMaxChangesPerNode; ++change) {
         if (!TryImproveNode(node, result, incumbent)) break;
         improved = true;
       }

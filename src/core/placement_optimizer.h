@@ -48,18 +48,20 @@ namespace mwp {
 
 class PlacementOptimizer {
  public:
+  // The search's loop bounds (§3.2), the same for every caller. Traces
+  // record them, and replay refuses a trace recorded with other values.
+
+  /// Committed changes per node visit.
+  static constexpr int kMaxChangesPerNode = 8;
+  /// Wish-list prefix tried per base configuration (lowest RP first).
+  static constexpr int kMaxWishesTried = 8;
+  /// Migration donors tried per node visit.
+  static constexpr int kMaxMigrationsTried = 3;
+
   struct Options {
     PlacementEvaluator::Options evaluator;
     /// Full passes over the node set per cycle.
     int max_sweeps = 2;
-    /// Committed changes per node visit.
-    int max_changes_per_node = 8;
-    /// Wish-list prefix tried per base configuration (lowest RP first).
-    int max_wishes_tried = 8;
-    /// Migration donors tried per node visit.
-    int max_migrations_tried = 3;
-    /// Hard cap on candidate evaluations per cycle (0 = unlimited).
-    int max_evaluations = 0;
     /// Concurrent lanes for candidate evaluation: 0 = hardware concurrency,
     /// 1 = sequential (no pool), n = caller plus n-1 workers. The chosen
     /// placement and the evaluations counter are identical for every value.
@@ -132,11 +134,6 @@ class PlacementOptimizer {
 
   /// Distribute() calls accumulated over all lanes' scratches.
   std::uint64_t TotalDistributeCalls() const;
-
-  bool EvaluationBudgetLeft(const Result& result) const {
-    return options_.max_evaluations == 0 ||
-           result.evaluations < options_.max_evaluations;
-  }
 };
 
 }  // namespace mwp

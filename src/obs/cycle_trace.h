@@ -104,6 +104,14 @@ struct TraceTxInput {
 /// PlacementEvaluator and LoadDistributor options that shape the search).
 /// search_threads is deliberately absent: the chosen placement is identical
 /// for every lane count, so replay may pick its own.
+///
+/// Six keys are pinned to build constants: the three search-loop bounds
+/// (PlacementOptimizer::kMaxChangesPerNode, kMaxWishesTried,
+/// kMaxMigrationsTried), max_evaluations (0, no budget), grid (empty, the
+/// default sampling grid) and batch_aggregate (true, the batch workload
+/// bargains as one entity). The controller writes the constants and replay
+/// refuses a trace carrying any other value; the keys stay on the wire so
+/// recorded traces keep their bytes.
 struct TraceSolverOptions {
   int max_sweeps = 2;
   int max_changes_per_node = 8;

@@ -329,6 +329,10 @@ struct Schema<TraceTxInput> {
   };
 };
 
+// max_changes_per_node, max_wishes_tried, max_migrations_tried,
+// max_evaluations, grid and batch_aggregate carry build constants: the
+// controller writes them and replay refuses any other value (see
+// TraceSolverOptions). The reader still accepts any value of the key's type.
 template <>
 struct Schema<TraceSolverOptions> {
   using O = TraceSolverOptions;

@@ -227,19 +227,31 @@ ReconstructedCycle::ReconstructedCycle(const obs::CycleInputRecord& input)
 
 PlacementOptimizer::Options ReconstructedCycle::OptimizerOptions(
     int search_threads) const {
+  // Six keys record values this build fixes; a trace carrying another value
+  // asks for a search this build cannot run.
+  const auto pinned = [](bool holds, const char* key) {
+    MWP_CHECK_MSG(holds, "recorded " << key
+                                     << " differs from this build's constant");
+  };
+  pinned(options_.max_changes_per_node ==
+             PlacementOptimizer::kMaxChangesPerNode,
+         "max_changes_per_node");
+  pinned(options_.max_wishes_tried == PlacementOptimizer::kMaxWishesTried,
+         "max_wishes_tried");
+  pinned(options_.max_migrations_tried ==
+             PlacementOptimizer::kMaxMigrationsTried,
+         "max_migrations_tried");
+  pinned(options_.max_evaluations == 0, "max_evaluations");
+  pinned(options_.grid.empty(), "grid");
+  pinned(options_.batch_aggregate, "batch_aggregate");
+
   PlacementOptimizer::Options options;
   options.max_sweeps = options_.max_sweeps;
-  options.max_changes_per_node = options_.max_changes_per_node;
-  options.max_wishes_tried = options_.max_wishes_tried;
-  options.max_migrations_tried = options_.max_migrations_tried;
-  options.max_evaluations = options_.max_evaluations;
   options.search_threads = search_threads;
   options.evaluator.tie_tolerance = options_.tie_tolerance;
-  options.evaluator.grid = options_.grid;
   options.evaluator.distributor.level_tolerance = options_.level_tolerance;
   options.evaluator.distributor.probe_delta = options_.probe_delta;
   options.evaluator.distributor.bisection_iters = options_.bisection_iters;
-  options.evaluator.distributor.batch_aggregate = options_.batch_aggregate;
   options.evaluator.objective.kind =
       static_cast<FairnessObjectiveKind>(options_.objective);
   options.evaluator.objective.karma_weight = options_.karma_weight;

@@ -78,6 +78,9 @@ class ReconstructedCycle {
   const PlacementSnapshot& snapshot() const { return *snapshot_; }
 
   /// The recording run's solver configuration, with the given lane count.
+  /// Throws std::logic_error (MWP_CHECK_MSG, naming the key) when the trace
+  /// records a search-loop bound, evaluation budget, sampling grid or
+  /// bargaining mode other than this build's constant.
   PlacementOptimizer::Options OptimizerOptions(int search_threads = 1) const;
 
   /// Raw recorded solver options (includes the sharded-optimizer fields:

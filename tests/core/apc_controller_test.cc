@@ -495,14 +495,6 @@ TEST(ApcControllerConfigTest, InvalidFieldsThrowAtConstruction) {
       {"shard_max_cross_cell_moves",
        [](Config& c) { c.shard_max_cross_cell_moves = -1; }},
       {"optimizer.max_sweeps", [](Config& c) { c.optimizer.max_sweeps = 0; }},
-      {"optimizer.max_changes_per_node",
-       [](Config& c) { c.optimizer.max_changes_per_node = 0; }},
-      {"optimizer.max_wishes_tried",
-       [](Config& c) { c.optimizer.max_wishes_tried = 0; }},
-      {"optimizer.max_migrations_tried",
-       [](Config& c) { c.optimizer.max_migrations_tried = -1; }},
-      {"optimizer.max_evaluations",
-       [](Config& c) { c.optimizer.max_evaluations = -1; }},
       {"optimizer.search_threads",
        [](Config& c) { c.optimizer.search_threads = -1; }},
       {"evaluator.tie_tolerance",

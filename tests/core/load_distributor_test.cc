@@ -279,35 +279,6 @@ TEST(LoadDistributorTest, QueuedJobsPullCpuFromTx) {
       << "the placed job carries the queue's share";
 }
 
-TEST(LoadDistributorTest, PerJobModeMatchesAggregateWithoutQueue) {
-  // With every job placed and no transactional contention the two modes
-  // coincide: everyone runs at max speed.
-  for (bool aggregate : {true, false}) {
-    SnapshotBuilder b(TinyCluster(2));
-    b.AddJob(1, 2'000.0, 400.0, 750.0, 0.0, 6.0, JobStatus::kRunning, 0);
-    b.AddJob(2, 2'000.0, 400.0, 750.0, 0.0, 6.0, JobStatus::kRunning, 1);
-    const PlacementSnapshot snap = b.Build();
-    LoadDistributor::Options opts;
-    opts.batch_aggregate = aggregate;
-    const auto result =
-        LoadDistributor(&snap, opts).Distribute(snap.current_placement());
-    EXPECT_NEAR(result.totals[0], 400.0, 1.0) << "aggregate=" << aggregate;
-    EXPECT_NEAR(result.totals[1], 400.0, 1.0) << "aggregate=" << aggregate;
-  }
-}
-
-TEST(LoadDistributorTest, HypotheticalExposedForAggregateMode) {
-  SnapshotBuilder b(TinyCluster(1));
-  b.AddJob(1, 4'000.0, 1'000.0, 750.0, 0.0, 5.0);
-  const PlacementSnapshot snap = b.Build();
-  LoadDistributor with(&snap);
-  EXPECT_NE(with.hypothetical(), nullptr);
-  LoadDistributor::Options ablation;
-  ablation.batch_aggregate = false;
-  LoadDistributor without(&snap, ablation);
-  EXPECT_EQ(without.hypothetical(), nullptr);
-}
-
 TEST(LoadDistributorTest, ScratchOfADestroyedDistributorIsNotReused) {
   // Two snapshots that differ only in the queued job's goal factor, so
   // their batch aggregate demand curves differ. The second distributor is

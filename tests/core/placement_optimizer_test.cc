@@ -145,19 +145,6 @@ TEST(PlacementOptimizerTest, TxAppGetsInstancesWhenLoaded) {
   EXPECT_NEAR(result.evaluation.tx_allocation, 1'500.0, 10.0);
 }
 
-TEST(PlacementOptimizerTest, RespectsEvaluationBudget) {
-  SnapshotBuilder b(TinyCluster(4));
-  for (int j = 0; j < 12; ++j) {
-    b.AddJob(j + 1, 4'000.0, 1'000.0, 750.0, 0.0, 2.0);
-  }
-  const PlacementSnapshot snap = b.Build();
-  PlacementOptimizer::Options opts;
-  opts.max_evaluations = 5;
-  PlacementOptimizer opt(&snap, opts);
-  const auto result = opt.Optimize();
-  EXPECT_LE(result.evaluations, 5);
-}
-
 TEST(PlacementOptimizerTest, DeterministicAcrossRuns) {
   SnapshotBuilder b(TinyCluster(3));
   for (int j = 0; j < 5; ++j) {

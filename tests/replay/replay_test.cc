@@ -194,6 +194,44 @@ TEST(ReplayTest, InvalidRecordedValuesAreShapeMismatches) {
   }
 }
 
+TEST(ReplayTest, PinnedSolverOptionsAreShapeMismatches) {
+  // Six recorded keys carry values this build fixes. A trace recorded with
+  // another value asks for a search this build cannot run, so replay must
+  // refuse it and name the key rather than re-solve under its own constant.
+  struct Case {
+    const char* key;
+    void (*edit)(obs::TraceSolverOptions&);
+  };
+  const Case cases[] = {
+      {"batch_aggregate",
+       [](obs::TraceSolverOptions& o) { o.batch_aggregate = false; }},
+      {"max_changes_per_node",
+       [](obs::TraceSolverOptions& o) { o.max_changes_per_node = 4; }},
+      {"max_wishes_tried",
+       [](obs::TraceSolverOptions& o) { o.max_wishes_tried = 4; }},
+      {"max_migrations_tried",
+       [](obs::TraceSolverOptions& o) { o.max_migrations_tried = 1; }},
+      {"max_evaluations",
+       [](obs::TraceSolverOptions& o) { o.max_evaluations = 5; }},
+      {"grid", [](obs::TraceSolverOptions& o) { o.grid = {0.5, 1.0}; }},
+  };
+  const ReplayOptions options;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.key);
+    obs::CycleTrace cycle = FullTrace().cycles[BusyCycleIndex(FullTrace())];
+    c.edit(cycle.input->options);
+    const CycleReplayDiff diff = ReplayCycle(cycle, options);
+    EXPECT_TRUE(diff.replayed);
+    EXPECT_TRUE(diff.shape_mismatch);
+    EXPECT_TRUE(diff.Regressed(options));
+    ASSERT_EQ(diff.details.size(), 1u);
+    EXPECT_NE(diff.details[0].find(std::string("recorded ") + c.key +
+                                   " differs"),
+              std::string::npos)
+        << diff.details[0];
+  }
+}
+
 TEST(ReplayTest, ReportNamesRegressedCycles) {
   ParsedTrace tampered;
   tampered.schema_version = obs::kTraceSchemaVersion;
