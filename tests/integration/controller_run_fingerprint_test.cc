@@ -154,13 +154,9 @@ StormRun RunStorm() {
   return run;
 }
 
-/// RunScenario on the 12-node Alibaba preset: the end-state placement
-/// fingerprint, the batch_share series and every completed job's RP.
-std::uint64_t ScenarioFingerprint(workload::ScenarioMode mode) {
-  const workload::ScenarioResult r =
-      workload::RunScenario(workload::AlibabaScenarioSpec(12, 42), mode);
-  EXPECT_GT(r.jobs_completed, 200u) << workload::ToString(mode);
-  Fnv1a h;
+/// Folds one scenario run: the end-state placement fingerprint, the
+/// batch_share series and every completed job's RP.
+void HashScenario(const workload::ScenarioResult& r, Fnv1a& h) {
   h.Bytes(r.placement_fingerprint);
   h.Word(r.batch_share.count());
   h.Double(r.batch_share.sum());
@@ -170,6 +166,15 @@ std::uint64_t ScenarioFingerprint(workload::ScenarioMode mode) {
   h.Double(r.batch_share.max());
   h.Word(r.jobs_completed);
   for (const double rp : r.job_rp.values()) h.Double(rp);
+}
+
+/// RunScenario on the 12-node Alibaba preset, folded by HashScenario.
+std::uint64_t ScenarioFingerprint(workload::ScenarioMode mode) {
+  const workload::ScenarioResult r =
+      workload::RunScenario(workload::AlibabaScenarioSpec(12, 42), mode);
+  EXPECT_GT(r.jobs_completed, 200u) << workload::ToString(mode);
+  Fnv1a h;
+  HashScenario(r, h);
   return h.value();
 }
 
@@ -200,6 +205,28 @@ TEST(ControllerRunFingerprintTest, AlibabaStaticAndEdfRunsDecideAsRecorded) {
               static_cast<unsigned long long>(edf));
   EXPECT_EQ(stat, 0xa6e825bed1c1d647ULL);
   EXPECT_EQ(edf, 0x7267a7081c24789eULL);
+}
+
+TEST(ControllerRunFingerprintTest, AlibabaApcShardedRunDecidesAsRecorded) {
+  // The APC on the sharded path (four 25-node cells) at 100 nodes: arrival
+  // and completion dispatch, cycles and commits over a few hundred live
+  // jobs. Folds HashScenario plus every tx response-time sample and the SLA
+  // count.
+  workload::ScenarioSpec spec = workload::AlibabaScenarioSpec(100, 42);
+  spec.shard_cell_size = 25;
+  const workload::ScenarioResult r =
+      workload::RunScenario(spec, workload::ScenarioMode::kApc);
+  Fnv1a h;
+  HashScenario(r, h);
+  h.Word(r.tx_response_times.count());
+  for (const double rt : r.tx_response_times.values()) h.Double(rt);
+  h.Word(static_cast<std::uint64_t>(r.tx_sla_violations));
+  std::printf(
+      "alibaba-100 apc: fingerprint=0x%016llx completed=%zu/%zu "
+      "tx_samples=%d sla_violations=%d\n",
+      static_cast<unsigned long long>(h.value()), r.jobs_completed,
+      r.jobs_submitted, r.tx_samples, r.tx_sla_violations);
+  EXPECT_EQ(h.value(), 0xddfc32b20b2f64fcULL);
 }
 
 }  // namespace
