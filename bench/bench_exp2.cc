@@ -8,7 +8,6 @@
 //                [--seed 7] [--csv] [--trace-out exp2.jsonl] [--trace-full]
 #include <iostream>
 #include <iterator>
-#include <sstream>
 
 #include "common/cli.h"
 #include "common/table.h"
@@ -18,14 +17,6 @@
 
 namespace mwp {
 namespace {
-
-std::vector<double> ParseList(const std::string& csv_list) {
-  std::vector<double> out;
-  std::stringstream ss(csv_list);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
 
 void PrintFigure3(const std::vector<Experiment2Point>& sweep, int jobs,
                   bool csv) {
@@ -112,11 +103,10 @@ static int Main(const mwp::CommandLine& cli) {
   using namespace mwp;
   Experiment2Config base;
   base.completed_jobs_target = static_cast<int>(cli.GetInt("jobs", 800));
-  const std::vector<Seconds> interarrivals =
-      cli.Has("interarrivals")
-          ? ParseList(cli.GetString("interarrivals", ""))
-          : std::vector<Seconds>(std::begin(kExperiment2Interarrivals),
-                                 std::end(kExperiment2Interarrivals));
+  const std::vector<Seconds> interarrivals = cli.GetDoubleList(
+      "interarrivals",
+      std::vector<Seconds>(std::begin(kExperiment2Interarrivals),
+                           std::end(kExperiment2Interarrivals)));
   base.seed = static_cast<std::uint64_t>(cli.GetInt("seed", 7));
   const bool csv = cli.GetBool("csv", false);
   // One recorder spans the whole sweep: the APC runs' cycle traces are

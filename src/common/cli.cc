@@ -6,6 +6,22 @@
 
 namespace mwp {
 
+namespace {
+
+/// `text` as a number, the whole of it; the error names flag --`name`.
+double ParseDouble(const std::string& name, const std::string& text) {
+  std::size_t used = 0;
+  try {
+    const double value = std::stod(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("flag --" + name + " expects a number, got '" +
+                              text + "'");
+}
+
+}  // namespace
+
 CommandLine::CommandLine(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -21,15 +37,25 @@ CommandLine::CommandLine(int argc, const char* const* argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[body] = argv[++i];
     } else {
-      flags_[body] = "true";  // boolean flag
+      flags_[body] = std::nullopt;  // no value: only GetBool accepts it
     }
   }
 }
 
-const std::string* CommandLine::Find(const std::string& name) const {
+const std::optional<std::string>* CommandLine::Find(
+    const std::string& name) const {
   read_.insert(name);
   auto it = flags_.find(name);
   return it == flags_.end() ? nullptr : &it->second;
+}
+
+const std::string* CommandLine::Value(const std::string& name) const {
+  const std::optional<std::string>* v = Find(name);
+  if (v == nullptr) return nullptr;
+  if (!v->has_value()) {
+    throw std::invalid_argument("flag --" + name + " expects a value");
+  }
+  return &**v;
 }
 
 bool CommandLine::Has(const std::string& name) const {
@@ -38,26 +64,32 @@ bool CommandLine::Has(const std::string& name) const {
 
 std::string CommandLine::GetString(const std::string& name,
                                    std::string def) const {
-  const std::string* v = Find(name);
+  const std::string* v = Value(name);
   return v == nullptr ? def : *v;
 }
 
 double CommandLine::GetDouble(const std::string& name, double def) const {
-  const std::string* v = Find(name);
+  const std::string* v = Value(name);
+  return v == nullptr ? def : ParseDouble(name, *v);
+}
+
+std::vector<double> CommandLine::GetDoubleList(const std::string& name,
+                                               std::vector<double> def) const {
+  const std::string* v = Value(name);
   if (v == nullptr) return def;
-  std::size_t used = 0;
-  try {
-    const double value = std::stod(*v, &used);
-    if (used == v->size()) return value;  // the whole value parsed
-  } catch (const std::exception&) {
+  std::vector<double> out;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t comma = v->find(',', begin);
+    out.push_back(ParseDouble(name, v->substr(begin, comma - begin)));
+    if (comma == std::string::npos) return out;
+    begin = comma + 1;
   }
-  throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                              *v + "'");
 }
 
 std::int64_t CommandLine::GetInt(const std::string& name,
                                  std::int64_t def) const {
-  const std::string* v = Find(name);
+  const std::string* v = Value(name);
   if (v == nullptr) return def;
   std::size_t used = 0;
   try {
@@ -70,12 +102,14 @@ std::int64_t CommandLine::GetInt(const std::string& name,
 }
 
 bool CommandLine::GetBool(const std::string& name, bool def) const {
-  const std::string* v = Find(name);
+  const std::optional<std::string>* v = Find(name);
   if (v == nullptr) return def;
-  if (*v == "true" || *v == "1" || *v == "yes") return true;
-  if (*v == "false" || *v == "0" || *v == "no") return false;
+  if (!v->has_value()) return true;  // a bare --name
+  const std::string& value = **v;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" +
-                              *v + "'");
+                              value + "'");
 }
 
 std::uint64_t CommandLine::GetSeed(std::uint64_t def) const {

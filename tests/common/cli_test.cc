@@ -52,6 +52,46 @@ TEST(CommandLineTest, MalformedNumberThrows) {
                std::invalid_argument);
 }
 
+TEST(CommandLineTest, FlagWithoutValueReadsOnlyAsBoolean) {
+  // --trace-out is followed by another flag, --last by nothing: neither has
+  // a value. GetBool reads them as true; the string and number getters
+  // refuse them instead of reading the string "true".
+  auto cli = Parse({"--trace-out", "--seed", "1", "--last"});
+  EXPECT_TRUE(cli.Has("trace-out"));
+  EXPECT_TRUE(cli.GetBool("trace-out", false));
+  EXPECT_TRUE(cli.GetBool("last", false));
+  EXPECT_EQ(cli.GetSeed(7), 1u);
+  for (const char* name : {"trace-out", "last"}) {
+    EXPECT_THROW(cli.GetString(name, ""), std::invalid_argument) << name;
+    EXPECT_THROW(cli.GetInt(name, 0), std::invalid_argument) << name;
+    EXPECT_THROW(cli.GetDouble(name, 0.0), std::invalid_argument) << name;
+    EXPECT_THROW(cli.GetDoubleList(name, {}), std::invalid_argument) << name;
+  }
+  try {
+    cli.GetString("trace-out", "");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --trace-out expects a value");
+  }
+  // A value spelled out is still a value.
+  EXPECT_EQ(Parse({"--name=true"}).GetString("name", ""), "true");
+  EXPECT_EQ(Parse({"--name", "true"}).GetString("name", ""), "true");
+}
+
+TEST(CommandLineTest, DoubleListParsesEveryItemWhole) {
+  EXPECT_EQ(Parse({"--l=100,50.5"}).GetDoubleList("l", {}),
+            (std::vector<double>{100.0, 50.5}));
+  EXPECT_EQ(Parse({"--l", "7"}).GetDoubleList("l", {}),
+            (std::vector<double>{7.0}));
+  EXPECT_EQ(Parse({}).GetDoubleList("l", {1.0, 2.0}),
+            (std::vector<double>{1.0, 2.0}));
+  // Each item follows GetDouble's rule; an empty item is malformed too.
+  for (const char* bad : {"--l=100x", "--l=100,5o", "--l=100,,50", "--l=100,",
+                          "--l=,100", "--l="}) {
+    EXPECT_THROW(Parse({bad}).GetDoubleList("l", {}), std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(CommandLineTest, MalformedBoolThrows) {
   auto cli = Parse({"--b=maybe"});
   EXPECT_THROW(cli.GetBool("b", false), std::invalid_argument);
