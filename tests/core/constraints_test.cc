@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/apc_controller.h"
 #include "core/placement_optimizer.h"
 #include "tests/core/test_fixtures.h"
+#include "web/workload_generator.h"
 
 namespace mwp {
 namespace {
@@ -164,6 +168,92 @@ TEST(ConstrainedControllerTest, QuickDispatchRespectsPinning) {
   const Job* job = queue.Find(5);
   ASSERT_TRUE(job->placed());
   EXPECT_EQ(job->node(), 2);
+}
+
+// Quick dispatch under anti-collocation. On three TinyCluster nodes a job
+// capped at 200 MHz finds every node that fits it equally good and takes
+// the last one, node 2. Each test runs once unconstrained, where the job
+// lands on its rival's node 2, and once with the rival separated.
+
+JobProfile SmallJob() {
+  return JobProfile::SingleStage(/*work=*/100'000.0, /*max_speed=*/200.0,
+                                 /*memory=*/500.0);
+}
+
+void SubmitSmallJob(JobQueue& queue, AppId id, Seconds now) {
+  queue.Submit(std::make_unique<Job>(
+      id, "job", SmallJob(),
+      JobGoal::FromFactor(now, 5.0, SmallJob().min_execution_time())));
+}
+
+ApcController::Config DispatchConfig(PlacementConstraints constraints) {
+  ApcController::Config cfg;
+  cfg.control_cycle = 1.0;
+  cfg.costs = VmCostModel::Free();
+  cfg.constraints = std::move(constraints);
+  return cfg;
+}
+
+TEST(ConstrainedControllerTest, QuickDispatchAvoidsAPlacedRival) {
+  for (const bool separate : {false, true}) {
+    const ClusterSpec cluster = TinyCluster(3);
+    JobQueue queue;
+    PlacementConstraints c;
+    if (separate) c.Separate(1, 2);
+    ApcController controller(&cluster, &queue, DispatchConfig(c));
+    SubmitSmallJob(queue, 1, 0.0);
+    ASSERT_EQ(controller.QuickDispatchAt(0.0), 1);
+    ASSERT_EQ(queue.Find(1)->node(), 2);
+    SubmitSmallJob(queue, 2, 1.0);
+    ASSERT_EQ(controller.QuickDispatchAt(1.0), 1);
+    EXPECT_EQ(queue.Find(2)->node(), separate ? 1 : 2)
+        << "separate=" << separate;
+  }
+}
+
+TEST(ConstrainedControllerTest, QuickDispatchAvoidsARivalPlacedInTheSameCall) {
+  for (const bool separate : {false, true}) {
+    const ClusterSpec cluster = TinyCluster(3);
+    JobQueue queue;
+    PlacementConstraints c;
+    if (separate) c.Separate(1, 2);
+    ApcController controller(&cluster, &queue, DispatchConfig(c));
+    SubmitSmallJob(queue, 1, 0.0);
+    SubmitSmallJob(queue, 2, 0.0);
+    // Equal RP keeps submission order: job 1 is placed first.
+    ASSERT_EQ(controller.QuickDispatchAt(0.0), 2);
+    EXPECT_EQ(queue.Find(1)->node(), 2);
+    EXPECT_EQ(queue.Find(2)->node(), separate ? 1 : 2)
+        << "separate=" << separate;
+  }
+}
+
+TEST(ConstrainedControllerTest, QuickDispatchAvoidsASeparatedTxInstance) {
+  constexpr AppId kTx = 100;
+  for (const bool separate : {false, true}) {
+    const ClusterSpec cluster = TinyCluster(3);
+    JobQueue queue;
+    PlacementConstraints c;
+    c.PinTo(kTx, {2});
+    if (separate) c.Separate(1, kTx);
+    ApcController controller(&cluster, &queue, DispatchConfig(c));
+    TransactionalAppSpec tx;
+    tx.id = kTx;
+    tx.name = "tx";
+    tx.memory_per_instance = 300.0;
+    tx.response_time_goal = 1.0;
+    tx.demand_per_request = 1.0;
+    tx.min_response_time = 0.1;
+    tx.saturation_allocation = 300.0;  // leaves node 2 over 200 MHz free
+    tx.max_instances = 1;
+    controller.AddTransactionalApp(tx, std::make_shared<ConstantRate>(100.0));
+    controller.RunCycleAt(0.0);
+    ASSERT_EQ(controller.tx_instances(0), std::vector<NodeId>{2});
+    SubmitSmallJob(queue, 1, 0.5);
+    ASSERT_EQ(controller.QuickDispatchAt(0.5), 1);
+    EXPECT_EQ(queue.Find(1)->node(), separate ? 1 : 2)
+        << "separate=" << separate;
+  }
 }
 
 }  // namespace
