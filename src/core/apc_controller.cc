@@ -160,12 +160,16 @@ void ApcController::CommitCycle(const CycleCapture& capture,
   }
 
   const Seconds now = commit_now;
+  // Each job's node in the decision, as the distributor resolved it from
+  // result.placement: no row scan per job.
+  const std::vector<int>& job_nodes = result.evaluation.distribution.job_nodes;
+  MWP_CHECK(job_nodes.size() == static_cast<std::size_t>(snapshot.num_jobs()));
   for (int j = 0; j < snapshot.num_jobs(); ++j) {
     Job* job = jobs[static_cast<std::size_t>(j)];
     if (job == nullptr) continue;
     const int entity = snapshot.EntityOfJob(j);
-    const std::vector<int> nodes = result.placement.NodesOf(entity);
-    const NodeId target = nodes.empty() ? kInvalidNode : nodes.front();
+    const NodeId target = job_nodes[static_cast<std::size_t>(j)];
+    MWP_DCHECK(target == FirstNodeOf(result.placement, entity));
     const NodeId current = job->placed() ? job->node() : kInvalidNode;
 
     if (target == kInvalidNode) {
@@ -354,7 +358,7 @@ void ApcController::CommitCycle(const CycleCapture& capture,
       d.id = jv.id;
       d.work_done = jv.work_done;
       d.outstanding = jv.profile->RemainingWork(jv.work_done);
-      d.placed = result.placement.InstanceCount(entity) > 0;
+      d.placed = job_nodes[static_cast<std::size_t>(j)] != kInvalidNode;
       d.allocation =
           result.evaluation.distribution.totals[static_cast<std::size_t>(entity)];
       d.predicted_utility =
