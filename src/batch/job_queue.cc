@@ -35,17 +35,9 @@ std::vector<const Job*> JobQueue::All() const {
 template <typename Keep>
 std::vector<Job*> JobQueue::LiveWhere(Keep keep) {
   std::vector<Job*> out;
-  auto kept = live_.begin();
-  for (auto it = live_.begin(); it != live_.end(); ++it) {
-    Job* j = *it;
-    if (j->completed()) continue;
-    // Compacting in place: write back only once a completed job has been
-    // dropped, so a pass that drops nothing writes nothing.
-    if (kept != it) *kept = j;
-    ++kept;
-    if (keep(*j)) out.push_back(j);
-  }
-  live_.erase(kept, live_.end());
+  ForEachLive([&](Job& j) {
+    if (keep(j)) out.push_back(&j);
+  });
   return out;
 }
 

@@ -9,10 +9,11 @@
 // Live list. Besides the full history, the queue keeps the jobs it has not
 // yet seen completed, in submission order. Completion is terminal: only
 // Job::AdvanceTo sets it, and Job::Place refuses a completed job. So a job
-// leaves the live list exactly once, in the first view after it completed.
-// Incomplete(), Placed(), AwaitingPlacement() and num_completed() cost
-// O(live jobs), not O(jobs ever submitted), and return exactly what a
-// filter over the whole history would, in the same order. A long-running
+// leaves the live list exactly once, in the first pass that sees it
+// completed. ForEachLive is that pass; Incomplete(), Placed() and
+// AwaitingPlacement() are built on it. They and num_completed() cost
+// O(live jobs), not O(jobs ever submitted), and see exactly what a filter
+// over the whole history would, in the same order. A long-running
 // controller's history grows without bound while its live set stays small.
 // All() and Completed() are the only scans of the whole history; end-of-run
 // reports use them.
@@ -51,6 +52,13 @@ class JobQueue {
   /// All jobs ever submitted, in submission order. O(history).
   std::vector<const Job*> All() const;
 
+  /// Calls `visit(Job&)` on every job not yet completed, in submission
+  /// order, in one pass over the live list. The visitor may complete the job
+  /// it visits (Job::AdvanceTo); the pass then drops that job from the list.
+  /// It must not submit jobs or call another view. O(live).
+  template <typename Visit>
+  void ForEachLive(Visit&& visit);
+
   /// Jobs not yet completed, in submission order — the management entities a
   /// placement controller reasons about each cycle. O(live).
   std::vector<Job*> Incomplete();
@@ -69,8 +77,7 @@ class JobQueue {
   std::size_t num_completed() const;
 
  private:
-  /// One pass over the live list: drops the jobs that completed since the
-  /// last view and returns the rest that satisfy `keep`.
+  /// The incomplete jobs that satisfy `keep`, in one ForEachLive pass.
   template <typename Keep>
   std::vector<Job*> LiveWhere(Keep keep);
 
@@ -82,5 +89,20 @@ class JobQueue {
   /// incomplete jobs until the next view prunes it.
   std::vector<Job*> live_;
 };
+
+template <typename Visit>
+void JobQueue::ForEachLive(Visit&& visit) {
+  auto kept = live_.begin();
+  for (auto it = live_.begin(); it != live_.end(); ++it) {
+    Job* j = *it;
+    if (!j->completed()) visit(*j);
+    if (j->completed()) continue;
+    // Compacting in place: write back only once a completed job has been
+    // dropped, so a pass that drops nothing writes nothing.
+    if (kept != it) *kept = j;
+    ++kept;
+  }
+  live_.erase(kept, live_.end());
+}
 
 }  // namespace mwp

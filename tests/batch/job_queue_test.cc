@@ -101,11 +101,14 @@ std::vector<const Job*> AsConst(const std::vector<Job*>& jobs) {
   return {jobs.begin(), jobs.end()};
 }
 
-/// Every view, called twice with nothing changed in between, against the
-/// history scan.
+/// Every view and the live visitor, called twice with nothing changed in
+/// between, against the history scan.
 void ExpectViewsMatchScan(JobQueue& q, int op) {
   const HistoryScan scan = ScanHistory(q);
   for (int call = 0; call < 2; ++call) {
+    std::vector<const Job*> visited;
+    q.ForEachLive([&visited](Job& job) { visited.push_back(&job); });
+    ASSERT_EQ(visited, scan.incomplete) << "op " << op << " call " << call;
     ASSERT_EQ(AsConst(q.Incomplete()), scan.incomplete)
         << "op " << op << " call " << call;
     ASSERT_EQ(AsConst(q.Placed()), scan.placed)
@@ -136,6 +139,7 @@ TEST(JobQueueTest, ViewsMatchHistoryScanUnderChurn) {
   Seconds now = 0.0;
   int resumes = 0, pauses = 0, suspends = 0, crashes = 0, completions = 0;
   int completed_mid_loop = 0;
+  int completed_in_visit = 0;
   constexpr int kOps = 6'000;
   for (int op = 0; op < kOps; ++op) {
     now += 0.25;
@@ -174,10 +178,10 @@ TEST(JobQueueTest, ViewsMatchHistoryScanUnderChurn) {
       if (Job* job = Pick(q, scan.placed, rng)) {
         completions += job->AdvanceTo(now, now + rng.Uniform(0.0, 4.0));
       }
-    } else {
-      // The controller's AdvanceJobsTo pattern: advance every placed job
-      // while iterating one Placed() result, so jobs complete mid-loop,
-      // and call the views from inside the loop now and then.
+    } else if (roll < 0.93) {
+      // Advance every placed job while iterating one Placed() result, so
+      // jobs complete mid-loop, and call the views from inside the loop now
+      // and then.
       const std::vector<Job*> placed = q.Placed();
       for (Job* job : placed) {
         completed_mid_loop += job->AdvanceTo(now, now + rng.Uniform(0.0, 1.5));
@@ -185,6 +189,20 @@ TEST(JobQueueTest, ViewsMatchHistoryScanUnderChurn) {
       }
       // The iterated result is a copy: jobs that completed stay in it.
       EXPECT_EQ(AsConst(placed), scan.placed) << "op " << op;
+    } else {
+      // The controller's pattern: one visitor pass advances every placed
+      // job, completing some of the jobs it visits. It still visits exactly
+      // the incomplete jobs, in order, and the views after it drop the
+      // jobs it completed.
+      std::vector<const Job*> visited;
+      q.ForEachLive([&](Job& job) {
+        visited.push_back(&job);
+        if (job.placed()) {
+          completed_in_visit +=
+              job.AdvanceTo(now, now + rng.Uniform(0.0, 1.5));
+        }
+      });
+      EXPECT_EQ(visited, scan.incomplete) << "op " << op;
     }
     ExpectViewsMatchScan(q, op);
     if (HasFatalFailure()) return;
@@ -192,9 +210,11 @@ TEST(JobQueueTest, ViewsMatchHistoryScanUnderChurn) {
   // The run exercised every transition at scale.
   EXPECT_GE(q.size(), 1'000u);
   EXPECT_EQ(q.num_completed(),
-            static_cast<std::size_t>(completions + completed_mid_loop));
+            static_cast<std::size_t>(completions + completed_mid_loop +
+                                     completed_in_visit));
   EXPECT_GT(completions, 100);
   EXPECT_GT(completed_mid_loop, 100);
+  EXPECT_GT(completed_in_visit, 100);
   EXPECT_GT(resumes, 10);
   EXPECT_GT(pauses, 10);
   EXPECT_GT(suspends, 10);
