@@ -13,6 +13,14 @@
 namespace mwp {
 namespace {
 
+/// When placed `job` finishes its remaining work at its current allocation,
+/// starting at `now` or after a VM operation still in flight.
+Seconds ProjectedCompletion(const Job& job, Seconds now) {
+  const Seconds exec_start = std::max(now, job.overhead_until());
+  return exec_start + job.profile().RemainingTimeAtSpeed(
+                          job.work_done(), job.allocated_speed());
+}
+
 /// The solve a Config asks for: monolithic when shard_cell_size is 0.
 ShardedPlacementOptimizer::Options SolveOptions(
     const ApcController::Config& config) {
@@ -56,9 +64,9 @@ void ApcController::Attach(Simulation& sim, Seconds first_cycle) {
 
 void ApcController::AdvanceJobsTo(Seconds to) {
   MWP_CHECK(to >= last_advance_);
-  for (Job* job : queue_->Placed()) {
-    job->AdvanceTo(last_advance_, to);
-  }
+  queue_->ForEachLive([&](Job& job) {
+    if (job.placed()) job.AdvanceTo(last_advance_, to);
+  });
   last_advance_ = to;
 }
 
@@ -387,7 +395,11 @@ void ApcController::CommitCycle(const CycleCapture& capture,
       tx_node_loads_[static_cast<std::size_t>(n)] += tx_loads.at(w, n);
     }
   }
-  if (sim != nullptr) ArmCompletionWatch(*sim);
+  if (sim != nullptr) {
+    // Jobs were advanced to commit_now above, so the pass advances nothing.
+    MWP_CHECK(sim->now() == commit_now);
+    ArmCompletionWatch(*sim, SurveyLiveJobs(commit_now).next_completion);
+  }
 }
 
 void ApcController::UpdateKarmaCredits(
@@ -660,29 +672,6 @@ const TransactionalApp& ApcController::PlacementView(
   return *tx.app;
 }
 
-void ApcController::ComputeFreeResources(std::vector<Megabytes>& mem,
-                                         std::vector<MHz>& cpu) const {
-  const auto n_nodes = static_cast<std::size_t>(cluster_->num_nodes());
-  mem.assign(n_nodes, 0.0);
-  cpu.assign(n_nodes, 0.0);
-  for (std::size_t n = 0; n < n_nodes; ++n) {
-    // Health-aware capacity: an offline node offers nothing to mid-cycle
-    // dispatch; a degraded node offers its scaled-down CPU.
-    mem[n] = cluster_->available_memory(static_cast<NodeId>(n));
-    cpu[n] = cluster_->available_cpu(static_cast<NodeId>(n));
-    if (n < tx_node_loads_.size()) cpu[n] -= tx_node_loads_[n];
-  }
-  for (const ManagedTx& tx : tx_apps_) {
-    for (NodeId node : tx.instances) {
-      mem[static_cast<std::size_t>(node)] -= tx.app->spec().memory_per_instance;
-    }
-  }
-  for (Job* job : queue_->Placed()) {
-    mem[static_cast<std::size_t>(job->node())] -= job->profile().max_memory();
-    cpu[static_cast<std::size_t>(job->node())] -= job->allocated_speed();
-  }
-}
-
 void ApcController::OnJobSubmitted(Simulation& sim) { QuickDispatch(sim); }
 
 bool ApcController::OperationFails(PlacementChange::Kind kind, AppId app) {
@@ -696,25 +685,78 @@ bool ApcController::OperationFails(PlacementChange::Kind kind, AppId app) {
 
 int ApcController::CrashJobsOnOfflineNodes(Seconds now) {
   int crashed = 0;
-  for (Job* job : queue_->Placed()) {
-    if (!cluster_->node_online(job->node())) {
-      job->Crash(now);
+  queue_->ForEachLive([&](Job& job) {
+    if (job.placed() && !cluster_->node_online(job.node())) {
+      job.Crash(now);
       ++crashed;
     }
-  }
+  });
   return crashed;
 }
 
+ApcController::LiveJobs ApcController::SurveyLiveJobs(Seconds now) {
+  MWP_CHECK(now >= last_advance_);
+  const auto n_nodes = static_cast<std::size_t>(cluster_->num_nodes());
+  const bool constrained = !config_.constraints.empty();
+  LiveJobs live;
+  live.free_mem.resize(n_nodes);
+  live.free_cpu.resize(n_nodes);
+  if (constrained) live.residents.resize(n_nodes);
+  for (std::size_t n = 0; n < n_nodes; ++n) {
+    // Health-aware capacity: an offline node offers nothing to mid-cycle
+    // dispatch; a degraded node offers its scaled-down CPU.
+    live.free_mem[n] = cluster_->available_memory(static_cast<NodeId>(n));
+    live.free_cpu[n] = cluster_->available_cpu(static_cast<NodeId>(n));
+    if (n < tx_node_loads_.size()) live.free_cpu[n] -= tx_node_loads_[n];
+  }
+  for (const ManagedTx& tx : tx_apps_) {
+    for (NodeId node : tx.instances) {
+      live.free_mem[static_cast<std::size_t>(node)] -=
+          tx.app->spec().memory_per_instance;
+    }
+  }
+  queue_->ForEachLive([&](Job& job) {
+    if (!job.placed()) {
+      live.waiting.push_back(&job);  // not started or suspended
+      return;
+    }
+    job.AdvanceTo(last_advance_, now);
+    if (job.completed()) return;
+    const auto n = static_cast<std::size_t>(job.node());
+    live.free_mem[n] -= job.profile().max_memory();
+    live.free_cpu[n] -= job.allocated_speed();
+    if (constrained) live.residents[n].push_back(job.id());
+    if (job.allocated_speed() > 0.0) {
+      live.next_completion =
+          std::min(live.next_completion, ProjectedCompletion(job, now));
+    }
+  });
+  last_advance_ = now;
+  if (constrained) {
+    for (const ManagedTx& tx : tx_apps_) {
+      for (NodeId node : tx.instances) {
+        live.residents[static_cast<std::size_t>(node)].push_back(tx.app->id());
+      }
+    }
+  }
+  return live;
+}
+
 int ApcController::QuickDispatch(Simulation& sim, int max_placements) {
-  const int placed = QuickDispatchAt(sim.now(), max_placements);
-  if (placed > 0) ArmCompletionWatch(sim);
+  LiveJobs live = SurveyLiveJobs(sim.now());
+  const int placed = DispatchWaiting(live, sim.now(), max_placements);
+  if (placed > 0) ArmCompletionWatch(sim, live.next_completion);
   return placed;
 }
 
 int ApcController::QuickDispatchAt(Seconds now, int max_placements) {
-  AdvanceJobsTo(now);
+  LiveJobs live = SurveyLiveJobs(now);
+  return DispatchWaiting(live, now, max_placements);
+}
 
-  std::vector<Job*> waiting = queue_->AwaitingPlacement();
+int ApcController::DispatchWaiting(LiveJobs& live, Seconds now,
+                                   int max_placements) {
+  std::vector<Job*>& waiting = live.waiting;
   if (waiting.empty() || max_placements <= 0) return 0;
   // Lowest relative performance first: the job whose achievable RP has
   // decayed the most is dispatched first. Ledger credits bias the ranking
@@ -737,29 +779,14 @@ int ApcController::QuickDispatchAt(Seconds now, int max_placements) {
       [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 0; i < ranked.size(); ++i) waiting[i] = ranked[i].second;
 
-  std::vector<Megabytes> free_mem;
-  std::vector<MHz> free_cpu;
-  ComputeFreeResources(free_mem, free_cpu);
-
-  // Per-node application presence, for anti-collocation checks.
-  std::vector<std::vector<AppId>> residents(free_cpu.size());
-  if (!config_.constraints.empty()) {
-    for (Job* placed : queue_->Placed()) {
-      residents[static_cast<std::size_t>(placed->node())].push_back(
-          placed->id());
-    }
-    for (const ManagedTx& tx : tx_apps_) {
-      for (NodeId node : tx.instances) {
-        residents[static_cast<std::size_t>(node)].push_back(tx.app->id());
-      }
-    }
-  }
+  std::vector<Megabytes>& free_mem = live.free_mem;
+  std::vector<MHz>& free_cpu = live.free_cpu;
   auto allowed = [&](const Job& job, std::size_t n) {
     if (config_.constraints.empty()) return true;
     if (!config_.constraints.AllowsNode(job.id(), static_cast<NodeId>(n))) {
       return false;
     }
-    for (AppId other : residents[n]) {
+    for (AppId other : live.residents[n]) {
       if (!config_.constraints.AllowsCollocation(job.id(), other)) {
         return false;
       }
@@ -802,8 +829,10 @@ int ApcController::QuickDispatchAt(Seconds now, int max_placements) {
     free_mem[static_cast<std::size_t>(best_node)] -= mem;
     free_cpu[static_cast<std::size_t>(best_node)] -= best_speed;
     if (!config_.constraints.empty()) {
-      residents[static_cast<std::size_t>(best_node)].push_back(job->id());
+      live.residents[static_cast<std::size_t>(best_node)].push_back(job->id());
     }
+    live.next_completion =
+        std::min(live.next_completion, ProjectedCompletion(*job, now));
     ++total_changes_;
     if (resume) {
       ++pending_quick_resumes_;
@@ -854,9 +883,9 @@ void ApcController::RepairNow(Seconds now, Simulation* sim) {
     }
   }
 
-  std::vector<Megabytes> free_mem;
-  std::vector<MHz> free_cpu;
-  ComputeFreeResources(free_mem, free_cpu);
+  LiveJobs live = SurveyLiveJobs(now);
+  std::vector<Megabytes>& free_mem = live.free_mem;
+  const std::vector<MHz>& free_cpu = live.free_cpu;
 
   // Restart each displaced instance on the surviving node with the most free
   // CPU that fits its memory and satisfies placement constraints, stopping at
@@ -902,35 +931,30 @@ void ApcController::RepairNow(Seconds now, Simulation* sim) {
   }
 
   // Refill whatever capacity the fault freed (and the budget still allows)
-  // with queued work — including the jobs this fault just re-queued.
-  repair.job_placements = sim != nullptr ? QuickDispatch(*sim, budget)
-                                         : QuickDispatchAt(now, budget);
+  // with queued work — including the jobs this fault just re-queued. A new
+  // pass charges the restarted instances' memory in tx order, as every
+  // dispatch does.
+  LiveJobs refill = SurveyLiveJobs(now);
+  repair.job_placements = DispatchWaiting(refill, now, budget);
   repair.failed_operations = pending_failed_ops_;
 
   MWP_LOG_DEBUG << "repair t=" << now << " requeued=" << repair.jobs_requeued
                 << " tx=" << repair.tx_replaced << "/" << repair.tx_displaced
                 << " jobs=" << repair.job_placements;
   repairs_.push_back(repair);
-  if (sim != nullptr) ArmCompletionWatch(*sim);
+  if (sim != nullptr) ArmCompletionWatch(*sim, refill.next_completion);
 }
 
-void ApcController::ArmCompletionWatch(Simulation& sim) {
+void ApcController::ArmCompletionWatch(Simulation& sim, Seconds at) {
   sim.Cancel(completion_watch_);
   completion_watch_ = EventHandle();
-  Seconds earliest = kTimeForever;
-  for (Job* job : queue_->Placed()) {
-    if (job->allocated_speed() <= 0.0) continue;
-    const Seconds exec_start = std::max(sim.now(), job->overhead_until());
-    const Seconds t =
-        exec_start + job->profile().RemainingTimeAtSpeed(job->work_done(),
-                                                         job->allocated_speed());
-    earliest = std::min(earliest, t);
-  }
-  if (earliest == kTimeForever) return;
+  if (at == kTimeForever) return;
   completion_watch_ =
-      sim.ScheduleAt(std::max(earliest, sim.now()), [this](Simulation& s) {
-        QuickDispatch(s);   // advances jobs, then refills freed capacity
-        ArmCompletionWatch(s);
+      sim.ScheduleAt(std::max(at, sim.now()), [this](Simulation& s) {
+        // Advance jobs, refill freed capacity and re-arm from one pass.
+        LiveJobs live = SurveyLiveJobs(s.now());
+        DispatchWaiting(live, s.now(), kUnbounded);
+        ArmCompletionWatch(s, live.next_completion);
       });
 }
 

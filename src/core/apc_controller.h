@@ -235,7 +235,8 @@ class ApcController {
   /// traces and metrics. Jobs are matched by id, so a capture that went
   /// stale (jobs arrived or completed mid-solve) commits what still
   /// applies; newly arrived jobs wait for the next decision. `sim` may be
-  /// null (service mode); when set, the completion watch is re-armed.
+  /// null (service mode); when set, its clock must read `commit_now`, and
+  /// the completion watch is re-armed.
   void CommitCycle(const CycleCapture& capture, CycleSolution solution,
                    Seconds commit_now, Simulation* sim);
 
@@ -301,9 +302,36 @@ class ApcController {
     std::unique_ptr<TransactionalApp> estimated;
   };
 
+  /// What one pass over the live jobs at an instant leaves for a dispatch.
+  struct LiveJobs {
+    /// Jobs waiting for placement (not started or suspended), submission
+    /// order.
+    std::vector<Job*> waiting;
+    /// Per node, free memory and unallocated CPU: capacity, minus the last
+    /// cycle's tx load, minus each tx instance's memory in tx order, minus
+    /// each placed job in submission order.
+    std::vector<Megabytes> free_mem;
+    std::vector<MHz> free_cpu;
+    /// Per node, the applications it hosts (placed jobs, then tx
+    /// instances), for anti-collocation checks; filled only when
+    /// Config::constraints is not empty.
+    std::vector<std::vector<AppId>> residents;
+    /// Earliest projected completion of a placed job with CPU allocated;
+    /// kTimeForever when there is none.
+    Seconds next_completion = kTimeForever;
+  };
+
   /// The app view used for placement this cycle (profiled or truth).
   const TransactionalApp& PlacementView(const ManagedTx& tx) const;
 
+  /// The one pass over the live jobs every dispatch makes: advances each
+  /// placed job to `now` and takes the rest of LiveJobs from the same
+  /// visit.
+  LiveJobs SurveyLiveJobs(Seconds now);
+  /// Start waiting jobs on `live`'s free capacity, lowest RP first, at most
+  /// `max_placements` of them; charges each start to `live` (free capacity,
+  /// residents, next completion). Returns the number of jobs placed.
+  int DispatchWaiting(LiveJobs& live, Seconds now, int max_placements);
   /// Start queued/suspended jobs on currently unallocated capacity, at most
   /// `max_placements` of them. Returns the number of jobs placed.
   int QuickDispatch(Simulation& sim, int max_placements = kUnbounded);
@@ -315,12 +343,10 @@ class ApcController {
   /// Re-queue placed jobs whose node has gone offline (defence in depth —
   /// the fault injector normally crashed them already). Returns the count.
   int CrashJobsOnOfflineNodes(Seconds now);
-  /// Arm an event at the earliest projected completion of a placed job, so
-  /// freed capacity is refilled without waiting for the next cycle.
-  void ArmCompletionWatch(Simulation& sim);
-  /// Per-node free memory and unallocated CPU under the live state.
-  void ComputeFreeResources(std::vector<Megabytes>& mem,
-                            std::vector<MHz>& cpu) const;
+  /// Replace the armed completion watch with one at `at` (a placed job's
+  /// projected completion; none when kTimeForever), so freed capacity is
+  /// refilled without waiting for the next cycle.
+  void ArmCompletionWatch(Simulation& sim, Seconds at);
 
   /// Emit the cycle's CycleTrace and metrics updates (no-op unless a sink
   /// is configured). `stats` must be fully populated for the cycle;
