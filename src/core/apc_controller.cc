@@ -177,7 +177,8 @@ void ApcController::CommitCycle(const CycleCapture& capture,
     if (job == nullptr) continue;
     const int entity = snapshot.EntityOfJob(j);
     const NodeId target = job_nodes[static_cast<std::size_t>(j)];
-    MWP_DCHECK(target == FirstNodeOf(result.placement, entity));
+    MWP_CHECK(target == kInvalidNode ||
+              result.placement.at(entity, target) > 0);
     const NodeId current = job->placed() ? job->node() : kInvalidNode;
 
     if (target == kInvalidNode) {
