@@ -137,6 +137,34 @@ TEST(ApcControllerTest, MemoryPressureQueuesThirdJob) {
   EXPECT_EQ(queue.num_completed(), 3u);
 }
 
+TEST(ApcControllerTest, CompletionWatchRefillsFreedCapacityAtOnce) {
+  // The node holds one of these 1,500 MB jobs at a time, and the next
+  // control cycle is far off. Job 1 arrives at t = 1 and starts at once;
+  // job 2 arrives at t = 2 and waits. The watch armed when job 1 started
+  // fires at its completion, t = 5, and starts job 2 there.
+  const ClusterSpec cluster = SmallCluster();
+  JobQueue queue;
+  Simulation sim;
+  ApcController::Config cfg;
+  cfg.control_cycle = 1'000.0;
+  cfg.costs = VmCostModel::Free();
+  ApcController controller(&cluster, &queue, cfg);
+  controller.Attach(sim, 0.0);
+  for (const AppId id : {1, 2}) {
+    sim.ScheduleAt(static_cast<Seconds>(id), [&, id](Simulation& s) {
+      queue.Submit(MakeJob(id, s.now(), 4'000.0, 1'000.0, 5.0, 1'500.0));
+      controller.OnJobSubmitted(s);
+    });
+  }
+  sim.RunUntil(5.5);
+  controller.AdvanceJobsTo(sim.now());
+
+  EXPECT_NEAR(*queue.Find(1)->completion_time(), 5.0, 1e-6);
+  const Job* second = queue.Find(2);
+  ASSERT_TRUE(second->placed());
+  EXPECT_NEAR(second->work_done(), 500.0, 1e-6);  // 0.5 s at 1,000 MHz
+}
+
 TEST(ApcControllerTest, TransactionalAppReceivesAllocation) {
   const ClusterSpec cluster = SmallCluster(2);
   JobQueue queue;
