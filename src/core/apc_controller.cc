@@ -673,7 +673,12 @@ const TransactionalApp& ApcController::PlacementView(
   return *tx.app;
 }
 
-void ApcController::OnJobSubmitted(Simulation& sim) { QuickDispatch(sim); }
+void ApcController::OnJobSubmitted(Simulation& sim) {
+  LiveJobs live = SurveyLiveJobs(sim.now());
+  if (DispatchWaiting(live, sim.now(), kUnbounded) > 0) {
+    ArmCompletionWatch(sim, live.next_completion);
+  }
+}
 
 bool ApcController::OperationFails(PlacementChange::Kind kind, AppId app) {
   if (!config_.vm_operation_oracle) return false;
@@ -712,8 +717,9 @@ ApcController::LiveJobs ApcController::SurveyLiveJobs(Seconds now) {
   }
   for (const ManagedTx& tx : tx_apps_) {
     for (NodeId node : tx.instances) {
-      live.free_mem[static_cast<std::size_t>(node)] -=
-          tx.app->spec().memory_per_instance;
+      const auto n = static_cast<std::size_t>(node);
+      live.free_mem[n] -= tx.app->spec().memory_per_instance;
+      if (constrained) live.residents[n].push_back(tx.app->id());
     }
   }
   queue_->ForEachLive([&](Job& job) {
@@ -733,21 +739,7 @@ ApcController::LiveJobs ApcController::SurveyLiveJobs(Seconds now) {
     }
   });
   last_advance_ = now;
-  if (constrained) {
-    for (const ManagedTx& tx : tx_apps_) {
-      for (NodeId node : tx.instances) {
-        live.residents[static_cast<std::size_t>(node)].push_back(tx.app->id());
-      }
-    }
-  }
   return live;
-}
-
-int ApcController::QuickDispatch(Simulation& sim, int max_placements) {
-  LiveJobs live = SurveyLiveJobs(sim.now());
-  const int placed = DispatchWaiting(live, sim.now(), max_placements);
-  if (placed > 0) ArmCompletionWatch(sim, live.next_completion);
-  return placed;
 }
 
 int ApcController::QuickDispatchAt(Seconds now, int max_placements) {

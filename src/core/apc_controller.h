@@ -312,9 +312,9 @@ class ApcController {
     /// each placed job in submission order.
     std::vector<Megabytes> free_mem;
     std::vector<MHz> free_cpu;
-    /// Per node, the applications it hosts (placed jobs, then tx
-    /// instances), for anti-collocation checks; filled only when
-    /// Config::constraints is not empty.
+    /// Per node, the applications it hosts (tx instances and placed jobs),
+    /// for anti-collocation checks; filled only when Config::constraints is
+    /// not empty.
     std::vector<std::vector<AppId>> residents;
     /// Earliest projected completion of a placed job with CPU allocated;
     /// kTimeForever when there is none.
@@ -332,9 +332,6 @@ class ApcController {
   /// `max_placements` of them; charges each start to `live` (free capacity,
   /// residents, next completion). Returns the number of jobs placed.
   int DispatchWaiting(LiveJobs& live, Seconds now, int max_placements);
-  /// Start queued/suspended jobs on currently unallocated capacity, at most
-  /// `max_placements` of them. Returns the number of jobs placed.
-  int QuickDispatch(Simulation& sim, int max_placements = kUnbounded);
   /// Shared body of OnNodeFault/OnNodeFaultAt; `sim` is null in service
   /// mode (no completion watch).
   void RepairNow(Seconds now, Simulation* sim);
