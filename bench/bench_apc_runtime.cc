@@ -449,18 +449,20 @@ BENCHMARK(BM_EventStorm)
     ->Unit(benchmark::kMillisecond);
 
 void BM_QuickDispatchHistory(benchmark::State& state) {
-  // Between-cycle dispatch against a long history: 25 paper nodes running
-  // 60 jobs, four waiting jobs too big for any node, and range(0) jobs
-  // that completed earlier. Each iteration times one QuickDispatchAt at a
-  // fixed instant: the jobs do not advance and nothing fits, so every
-  // iteration sees the same state. Its cost should depend on the live jobs
-  // and nodes only, not on how many jobs the queue has ever held.
+  // Between-cycle dispatch against a long history: range(1) paper nodes
+  // running range(2) jobs, four waiting jobs too big for any node, and
+  // range(0) jobs that completed earlier. Each iteration times one
+  // QuickDispatchAt at a fixed instant: the jobs do not advance and nothing
+  // fits, so every iteration sees the same state. Its cost should depend on
+  // the live jobs and nodes only, not on how many jobs the queue has ever
+  // held. The 500-node case is sized like perfbench's alibaba-500, which
+  // keeps about 1,100 jobs running between its cycles.
   const int completed = static_cast<int>(state.range(0));
-  constexpr int kNodes = 25;
-  constexpr int kRunning = 60;
+  const int nodes = static_cast<int>(state.range(1));
+  const int running = static_cast<int>(state.range(2));
   constexpr int kWaiting = 4;
   constexpr Seconds kNow = 100.0;
-  ClusterSpec cluster = ClusterSpec::Uniform(kNodes, PaperNode());
+  ClusterSpec cluster = ClusterSpec::Uniform(nodes, PaperNode());
   JobQueue queue;
   ApcController::Config cfg;
   cfg.costs = VmCostModel::Free();
@@ -470,16 +472,16 @@ void BM_QuickDispatchHistory(benchmark::State& state) {
       /*relative_goal_factor=*/2.7, /*first_id=*/1'000);
   for (int j = 0; j < completed; ++j) {
     Job& job = queue.Submit(finished_jobs.Create(0.0));
-    job.Place(static_cast<NodeId>(j % kNodes), 0.0, 0.0);
+    job.Place(static_cast<NodeId>(j % nodes), 0.0, 0.0);
     job.SetAllocation(3'900.0);
     job.AdvanceTo(0.0, kNow);
   }
   IdenticalJobFactory long_jobs(
       JobProfile::SingleStage(68'640'000.0, 3'900.0, 4'320.0),
       /*relative_goal_factor=*/2.7, /*first_id=*/100'000);
-  for (int j = 0; j < kRunning; ++j) {
+  for (int j = 0; j < running; ++j) {
     Job& job = queue.Submit(long_jobs.Create(0.0));
-    job.Place(static_cast<NodeId>(j % kNodes), 0.0, 0.0);
+    job.Place(static_cast<NodeId>(j % nodes), 0.0, 0.0);
     job.SetAllocation(3'900.0);
   }
   IdenticalJobFactory oversized_jobs(
@@ -498,9 +500,10 @@ void BM_QuickDispatchHistory(benchmark::State& state) {
   state.counters["live_jobs"] = static_cast<double>(queue.Incomplete().size());
 }
 BENCHMARK(BM_QuickDispatchHistory)
-    ->Arg(0)
-    ->Arg(2'000)
-    ->Arg(20'000)
+    ->Args({0, 25, 60})
+    ->Args({2'000, 25, 60})
+    ->Args({20'000, 25, 60})
+    ->Args({0, 500, 1'100})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
