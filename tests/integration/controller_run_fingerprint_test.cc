@@ -208,10 +208,9 @@ TEST(ControllerRunFingerprintTest, AlibabaStaticAndEdfRunsDecideAsRecorded) {
 }
 
 TEST(ControllerRunFingerprintTest, AlibabaApcShardedRunDecidesAsRecorded) {
-  // The APC on the sharded path (four 25-node cells) at 100 nodes: arrival
-  // and completion dispatch, cycles and commits over a few hundred live
-  // jobs. Folds HashScenario plus every tx response-time sample and the SLA
-  // count.
+  // The APC on the sharded path (four 25-node cells) at 100 nodes, with
+  // arrival and completion dispatch between its cycles. Folds HashScenario
+  // plus every tx response-time sample and the SLA count.
   workload::ScenarioSpec spec = workload::AlibabaScenarioSpec(100, 42);
   spec.shard_cell_size = 25;
   const workload::ScenarioResult r =
