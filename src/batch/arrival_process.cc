@@ -38,28 +38,4 @@ void PoissonArrivalProcess::set_mean_interarrival(Seconds mean) {
   mean_ = mean;
 }
 
-FixedArrivalProcess::FixedArrivalProcess(std::vector<Seconds> times)
-    : times_(std::move(times)) {
-  for (std::size_t i = 1; i < times_.size(); ++i) {
-    MWP_CHECK_MSG(times_[i] >= times_[i - 1],
-                  "arrival times must be non-decreasing");
-  }
-}
-
-Seconds FixedArrivalProcess::NextArrival() {
-  // Past the end of the schedule there is no next arrival: report the
-  // "never" sentinel instead of faulting, so drivers that poll for the next
-  // arrival (diurnal scenario loops) can terminate on +inf.
-  if (exhausted()) return kTimeForever;
-  return times_[index_++];
-}
-
-std::vector<Seconds> GenerateSchedule(ArrivalProcess& process, int count) {
-  MWP_CHECK(count >= 0);
-  std::vector<Seconds> schedule;
-  schedule.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) schedule.push_back(process.NextArrival());
-  return schedule;
-}
-
 }  // namespace mwp

@@ -2,8 +2,7 @@
 //
 // The paper submits jobs with exponentially distributed inter-arrival times
 // (mean 260 s in Experiment One; 50..400 s sweeps in Experiment Two). The
-// ArrivalProcess abstraction yields successive submission timestamps;
-// GenerateSchedule materializes a finite schedule for a simulation run.
+// ArrivalProcess abstraction yields successive submission timestamps.
 #pragma once
 
 #include <memory>
@@ -45,23 +44,5 @@ class PoissonArrivalProcess : public ArrivalProcess {
   /// arrival late.
   Seconds pending_gap_ = 0.0;
 };
-
-/// Fixed, caller-supplied arrival instants (used by the §4.3 example where
-/// J1, J2, J3 arrive at 0, 1, 2 s).
-class FixedArrivalProcess : public ArrivalProcess {
- public:
-  explicit FixedArrivalProcess(std::vector<Seconds> times);
-
-  /// Returns kTimeForever (+inf) once the schedule is exhausted.
-  Seconds NextArrival() override;
-  bool exhausted() const { return index_ >= times_.size(); }
-
- private:
-  std::vector<Seconds> times_;
-  std::size_t index_ = 0;
-};
-
-/// First `count` arrival instants of `process`.
-std::vector<Seconds> GenerateSchedule(ArrivalProcess& process, int count);
 
 }  // namespace mwp

@@ -35,14 +35,6 @@ void PublishJobArrival(ControllerService& service, Simulation& sim,
   service.Pump(sim);
 }
 
-void PublishJobCompletion(ControllerService& service, Simulation& sim,
-                          AppId job) {
-  ControlEvent e = MakeEvent(ControlEventKind::kJobCompletion, sim.now());
-  e.job = job;
-  service.Publish(e);
-  service.Pump(sim);
-}
-
 void PublishNodeFault(ControllerService& service, Simulation& sim,
                       NodeId node) {
   ControlEvent e = MakeEvent(ControlEventKind::kNodeFault, sim.now());

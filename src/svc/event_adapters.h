@@ -30,12 +30,6 @@ void AttachServiceTimer(ControllerService& service, Simulation& sim,
 void PublishJobArrival(ControllerService& service, Simulation& sim,
                        AppId job);
 
-/// Publish a placed job's completion and pump (threaded-mode deployments
-/// need this to refill capacity; sim mode usually relies on the
-/// controller's completion watch instead).
-void PublishJobCompletion(ControllerService& service, Simulation& sim,
-                          AppId job);
-
 /// Publish a node fault at the simulation's current instant and pump.
 /// Call from a FaultListener where the experiment used to call
 /// controller.OnNodeFault(sim).

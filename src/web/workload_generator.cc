@@ -35,24 +35,4 @@ double SinusoidalRate::RateAt(Seconds t) const {
   return std::max(0.0, base_ + amplitude_ * std::sin(two_pi * t / period_));
 }
 
-NoisyRate::NoisyRate(std::shared_ptr<const ArrivalRateProfile> inner,
-                     double jitter, Seconds interval, std::uint64_t seed)
-    : inner_(std::move(inner)), jitter_(jitter), interval_(interval), seed_(seed) {
-  MWP_CHECK(inner_ != nullptr);
-  MWP_CHECK(jitter_ >= 0.0 && jitter_ < 1.0);
-  MWP_CHECK(interval_ > 0.0);
-}
-
-double NoisyRate::RateAt(Seconds t) const {
-  const auto bucket = static_cast<std::uint64_t>(std::max(0.0, t) / interval_);
-  // splitmix64 of (seed, bucket) → uniform factor in [1-j, 1+j].
-  std::uint64_t z = seed_ ^ (bucket + 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z = z ^ (z >> 31);
-  const double u = static_cast<double>(z >> 11) / 9007199254740992.0;  // [0,1)
-  const double factor = 1.0 - jitter_ + 2.0 * jitter_ * u;
-  return inner_->RateAt(t) * factor;
-}
-
 }  // namespace mwp

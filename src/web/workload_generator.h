@@ -4,7 +4,7 @@
 // the control loop re-reads the current arrival rate each cycle. These
 // profiles generate λ(t): constant (Experiment Three), piecewise steps (the
 // §1 motivating scenario where intensity doubles mid-run), sinusoidal
-// (day/night patterns for the examples), and an additive noise wrapper.
+// (day/night patterns for the examples).
 #pragma once
 
 #include <memory>
@@ -57,21 +57,6 @@ class SinusoidalRate : public ArrivalRateProfile {
   double base_;
   double amplitude_;
   Seconds period_;
-};
-
-/// Multiplies an inner profile by deterministic per-interval noise in
-/// [1-jitter, 1+jitter] (hash of the interval index, so repeatable).
-class NoisyRate : public ArrivalRateProfile {
- public:
-  NoisyRate(std::shared_ptr<const ArrivalRateProfile> inner, double jitter,
-            Seconds interval, std::uint64_t seed);
-  double RateAt(Seconds t) const override;
-
- private:
-  std::shared_ptr<const ArrivalRateProfile> inner_;
-  double jitter_;
-  Seconds interval_;
-  std::uint64_t seed_;
 };
 
 }  // namespace mwp

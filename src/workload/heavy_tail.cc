@@ -106,19 +106,4 @@ SampledJob HeavyTailJobSampler::Sample() {
   return job;
 }
 
-HeavyTailJobFactory::HeavyTailJobFactory(HeavyTailJobSpec spec, Rng rng,
-                                         AppId first_id)
-    : sampler_(std::move(spec), rng), next_id_(first_id) {}
-
-std::unique_ptr<Job> HeavyTailJobFactory::Create(Seconds submit_time) {
-  const SampledJob sampled = sampler_.Sample();
-  const AppId id = next_id_++;
-  JobProfile profile =
-      JobProfile::SingleStage(sampled.work, sampled.max_speed, sampled.memory);
-  return std::make_unique<Job>(
-      id, "ht-job-" + std::to_string(id), profile,
-      JobGoal::FromFactor(submit_time, sampled.goal_factor,
-                          profile.min_execution_time()));
-}
-
 }  // namespace mwp::workload

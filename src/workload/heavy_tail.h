@@ -17,11 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "batch/job_factory.h"
 #include "common/rng.h"
 #include "common/units.h"
 
@@ -98,20 +95,6 @@ class HeavyTailJobSampler {
   HeavyTailJobSpec spec_;
   std::vector<double> speed_weights_;
   Rng rng_;
-};
-
-/// JobFactory adapter: single-stage jobs with sampled work/speed/memory and
-/// a goal derived from the sampled goal factor. Ids are sequential from
-/// `first_id`.
-class HeavyTailJobFactory : public JobFactory {
- public:
-  HeavyTailJobFactory(HeavyTailJobSpec spec, Rng rng, AppId first_id = 0);
-
-  std::unique_ptr<Job> Create(Seconds submit_time) override;
-
- private:
-  HeavyTailJobSampler sampler_;
-  AppId next_id_;
 };
 
 }  // namespace mwp::workload

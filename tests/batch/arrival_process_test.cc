@@ -137,47 +137,5 @@ TEST(PoissonArrivalTest, SequencesWithoutRateChangeAreBitIdentical) {
   }
 }
 
-TEST(FixedArrivalTest, ReplaysSchedule) {
-  FixedArrivalProcess p({0.0, 1.0, 2.0});
-  EXPECT_DOUBLE_EQ(p.NextArrival(), 0.0);
-  EXPECT_DOUBLE_EQ(p.NextArrival(), 1.0);
-  EXPECT_FALSE(p.exhausted());
-  EXPECT_DOUBLE_EQ(p.NextArrival(), 2.0);
-  EXPECT_TRUE(p.exhausted());
-}
-
-TEST(FixedArrivalTest, ExhaustedReturnsForeverSentinel) {
-  // Regression: past the end of the schedule, NextArrival must report the
-  // +inf "never" sentinel — repeatedly — instead of faulting or repeating
-  // the last time.
-  FixedArrivalProcess p({5.0});
-  EXPECT_DOUBLE_EQ(p.NextArrival(), 5.0);
-  ASSERT_TRUE(p.exhausted());
-  EXPECT_EQ(p.NextArrival(), kTimeForever);
-  EXPECT_EQ(p.NextArrival(), kTimeForever);
-  EXPECT_TRUE(p.exhausted());
-
-  FixedArrivalProcess empty(std::vector<Seconds>{});
-  EXPECT_EQ(empty.NextArrival(), kTimeForever);
-}
-
-TEST(FixedArrivalTest, DecreasingScheduleThrows) {
-  EXPECT_THROW(FixedArrivalProcess({2.0, 1.0}), std::logic_error);
-}
-
-TEST(GenerateScheduleTest, CountAndOrder) {
-  PoissonArrivalProcess p(Rng(5), 10.0);
-  const auto schedule = GenerateSchedule(p, 100);
-  ASSERT_EQ(schedule.size(), 100u);
-  for (std::size_t i = 1; i < schedule.size(); ++i) {
-    EXPECT_GT(schedule[i], schedule[i - 1]);
-  }
-}
-
-TEST(GenerateScheduleTest, ZeroCount) {
-  FixedArrivalProcess p({1.0});
-  EXPECT_TRUE(GenerateSchedule(p, 0).empty());
-}
-
 }  // namespace
 }  // namespace mwp

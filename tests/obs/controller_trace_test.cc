@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 
-#include "core/mixed_workload_manager.h"
+#include "batch/job_metrics.h"
+#include "batch/job_queue.h"
+#include "core/apc_controller.h"
 #include "exp/experiment1.h"
 #include "obs/cycle_trace.h"
 #include "obs/metrics.h"
@@ -69,7 +73,22 @@ TEST(ControllerTraceTest, Experiment1TraceReproducesReportedSeries) {
   EXPECT_TRUE(cache_seen);
 }
 
-TEST(ControllerTraceTest, MetricsRegistrySeesControllerAndManager) {
+ClusterSpec TwoNodes() {
+  return ClusterSpec::Uniform(2, NodeSpec{2, 1'000.0, 8'192.0});
+}
+
+// Queues a single-stage job with a relative goal counted from now and lets
+// the controller dispatch it, as a job scheduler does on arrival.
+void SubmitJob(Simulation& sim, JobQueue& queue, ApcController& controller,
+               AppId id, JobProfile profile, double goal_factor) {
+  const Seconds min_exec = profile.min_execution_time();
+  queue.Submit(std::make_unique<Job>(
+      id, "etl-" + std::to_string(id), std::move(profile),
+      JobGoal::FromFactor(sim.now(), goal_factor, min_exec)));
+  controller.OnJobSubmitted(sim);
+}
+
+TEST(ControllerTraceTest, MetricsRegistrySeesControllerAndSimulation) {
   obs::MetricsRegistry metrics;
   obs::TraceRecorder recorder;
   ApcController::Config cfg;
@@ -78,22 +97,22 @@ TEST(ControllerTraceTest, MetricsRegistrySeesControllerAndManager) {
   cfg.trace = &recorder;
   cfg.metrics = &metrics;
 
-  MixedWorkloadManager mgr(
-      ClusterSpec::Uniform(2, NodeSpec{2, 1'000.0, 8'192.0}), cfg);
+  const ClusterSpec cluster = TwoNodes();
+  JobQueue queue;
+  ApcController controller(&cluster, &queue, cfg);
   Simulation sim;
   sim.set_metrics(&metrics);
-  mgr.Start(sim);
-  mgr.SubmitJob(sim, "etl",
-                JobProfile::SingleStage(20'000.0, 2'000.0, 1'024.0), 3.0);
-  mgr.SubmitJob(sim, "etl",
-                JobProfile::SingleStage(10'000.0, 1'000.0, 512.0), 3.0);
+  controller.Attach(sim);
+  SubmitJob(sim, queue, controller, 1,
+            JobProfile::SingleStage(20'000.0, 2'000.0, 1'024.0), 3.0);
+  SubmitJob(sim, queue, controller, 2,
+            JobProfile::SingleStage(10'000.0, 1'000.0, 512.0), 3.0);
   sim.RunUntil(100.0);
-  mgr.Finish(sim);
+  controller.AdvanceJobsTo(sim.now());
 
   EXPECT_EQ(metrics.counter("apc.cycles").value(), recorder.size());
   EXPECT_GT(recorder.size(), 0u);
-  EXPECT_EQ(metrics.counter("mwm.jobs_submitted").value(), 2u);
-  EXPECT_EQ(metrics.counter("mwm.jobs_completed").value(), 2u);
+  EXPECT_EQ(queue.num_completed(), 2u);
   EXPECT_GT(metrics.counter("sim.events_executed").value(), 0u);
   // Each cycle observes one solver time.
   EXPECT_EQ(metrics.histogram("apc.solver_seconds").count(), recorder.size());
@@ -107,15 +126,16 @@ TEST(ControllerTraceTest, NoSinksMeansNoTraces) {
   ApcController::Config cfg;
   cfg.control_cycle = 10.0;
   cfg.costs = VmCostModel::Free();
-  MixedWorkloadManager mgr(
-      ClusterSpec::Uniform(2, NodeSpec{2, 1'000.0, 8'192.0}), cfg);
+  const ClusterSpec cluster = TwoNodes();
+  JobQueue queue;
+  ApcController controller(&cluster, &queue, cfg);
   Simulation sim;
-  mgr.Start(sim);
-  mgr.SubmitJob(sim, "etl",
-                JobProfile::SingleStage(5'000.0, 1'000.0, 512.0), 3.0);
+  controller.Attach(sim);
+  SubmitJob(sim, queue, controller, 1,
+            JobProfile::SingleStage(5'000.0, 1'000.0, 512.0), 3.0);
   sim.RunUntil(50.0);
-  mgr.Finish(sim);
-  EXPECT_EQ(mgr.Outcomes().size(), 1u);
+  controller.AdvanceJobsTo(sim.now());
+  EXPECT_EQ(CollectOutcomes(queue).size(), 1u);
 }
 
 }  // namespace

@@ -43,34 +43,5 @@ TEST(SinusoidalRateTest, ClampedAtZero) {
   EXPECT_DOUBLE_EQ(r.RateAt(75.0), 0.0);
 }
 
-TEST(NoisyRateTest, StaysWithinJitterBand) {
-  auto inner = std::make_shared<ConstantRate>(100.0);
-  NoisyRate r(inner, 0.2, 60.0, 7);
-  for (Seconds t = 0.0; t < 6'000.0; t += 60.0) {
-    const double v = r.RateAt(t);
-    EXPECT_GE(v, 80.0 - 1e-9);
-    EXPECT_LE(v, 120.0 + 1e-9);
-  }
-}
-
-TEST(NoisyRateTest, DeterministicPerInterval) {
-  auto inner = std::make_shared<ConstantRate>(100.0);
-  NoisyRate r(inner, 0.2, 60.0, 7);
-  EXPECT_DOUBLE_EQ(r.RateAt(10.0), r.RateAt(59.0));  // same bucket
-  NoisyRate r2(inner, 0.2, 60.0, 7);
-  EXPECT_DOUBLE_EQ(r.RateAt(123.0), r2.RateAt(123.0));  // same seed
-}
-
-TEST(NoisyRateTest, VariesAcrossIntervals) {
-  auto inner = std::make_shared<ConstantRate>(100.0);
-  NoisyRate r(inner, 0.2, 60.0, 7);
-  bool varied = false;
-  const double first = r.RateAt(0.0);
-  for (int i = 1; i < 20; ++i) {
-    if (r.RateAt(i * 60.0) != first) varied = true;
-  }
-  EXPECT_TRUE(varied);
-}
-
 }  // namespace
 }  // namespace mwp
