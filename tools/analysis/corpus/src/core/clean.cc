@@ -7,3 +7,7 @@ void Cycle(mwp::Seconds now) {
   MWP_LOG_DEBUG << "cycle at " << now;
   // std::random_device in a comment is fine
 }
+// The fixtures' structs have a user, so AUD-U1 stays quiet about them.
+double Draw(Rng& rng, const Stats& stats) {
+  return static_cast<double>(rng.engine()) * stats.speed_factor;
+}

@@ -10,7 +10,8 @@ must be deterministic. Two engines find the AST-level hazards (token/scope
 analysis in the builtin engine, real clang AST via libclang when
 available); the line rules (AUD-D5, AUD-C1..C3) are regexes over
 comment-stripped lines that the driver runs once per file whichever engine
-ran. Scope: src/, bench/ and examples/.
+ran, and so is AUD-U1, a token rule over the whole tree. Scope: src/,
+bench/ and examples/; AUD-U1 also reads perfbench/src/ for uses.
 
 AUD-D1  Unordered-container iteration order. Range-for / `.begin()`
         traversal of a `std::unordered_map`/`unordered_set` feeds
@@ -60,6 +61,13 @@ AUD-C2  iostream in the hot-path modules src/core/ and src/rpf/: log
 AUD-C3  Units at API boundaries: headers declare time-like quantities as
         `Seconds` (common/units.h), not raw `double`; dimensionless names
         (factor, ratio, rate, ...) are exempt. Line rule, no tag.
+AUD-U1  Library code no binary runs. A namespace-scope class or struct
+        defined in a src/ header whose name appears nowhere under src/,
+        bench/, examples/ or perfbench/src/ outside its own body, its
+        declarations and its out-of-line member definitions: only tests
+        (or nothing) use it, so it cannot move a decision. A use from a
+        neighbour in the same header counts, and so does a name in a
+        macro body. Token rule, no tag.
 AUD900  Stale allowlist: an `// audit:` annotation that suppresses no
         finding is an error — allowlists must shrink with the code.
 AUD901  Malformed allowlist: unknown tag or empty reason.
@@ -112,7 +120,7 @@ TAG_TO_RULE = {
 }
 
 RULE_CLASSES = ("AUD-D1", "AUD-D2", "AUD-D3", "AUD-D4", "AUD-D5", "AUD-L1",
-                "AUD-L2", "AUD-C1", "AUD-C2", "AUD-C3")
+                "AUD-L2", "AUD-C1", "AUD-C2", "AUD-C3", "AUD-U1")
 
 AUDIT_DIRS = ("src", "bench", "examples")
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
@@ -317,6 +325,133 @@ def line_findings(root: Path, files: list[Path]) -> list[Finding]:
                     f"time-like '{match.group('name')}' declared as raw "
                     "double; use the Seconds alias from common/units.h"))
     return findings
+
+
+# --- AUD-U1: library classes no binary uses ---------------------------------
+
+# Where a use of a src/ class counts: the library, the shipped binaries and
+# the end-to-end benchmark's workloads. Tests do not count.
+USE_DIRS = ("src", "bench", "examples", "perfbench/src")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*$")
+
+
+def namespace_chunks(tokens, start, end, out):
+    """Appends the namespace-scope declarations of tokens[start:end] to
+    `out`, one token list each, descending into namespace blocks. A brace
+    group ends its declaration unless a `;` closes it or the declaration
+    goes on (`,`, `{`, `(`, ... after a member initializer)."""
+    chunk = []
+    i = start
+    while i < end:
+        t = tokens[i][0]
+        if not chunk and t == "namespace":
+            j = i + 1
+            while j < end and tokens[j][0] not in ("{", ";", "="):
+                j += 1
+            if j < end and tokens[j][0] == "{":
+                close = min(match_group(tokens, j, "{", "}"), end)
+                namespace_chunks(tokens, j + 1, close - 1, out)
+                i = close
+                continue
+        if t == "{":
+            close = min(match_group(tokens, i, "{", "}"), end)
+            chunk.extend(tokens[i:close])
+            i = close
+            if i < end and tokens[i][0] in (",", "{", "(", ")", ".", "->"):
+                continue
+            if i < end and tokens[i][0] == ";":
+                chunk.append(tokens[i])
+                i += 1
+            out.append(chunk)
+            chunk = []
+            continue
+        chunk.append(tokens[i])
+        i += 1
+        if t == ";":
+            out.append(chunk)
+            chunk = []
+    if chunk:
+        out.append(chunk)
+
+
+def chunk_owner(chunk):
+    """(owner, defines_class): the class a namespace-scope declaration
+    belongs to, or None. `class X {...};` defines X; `class X;` declares it;
+    `... X::member(...) {...}` and `... X::member = ...;` are out-of-line
+    member definitions of X."""
+    k = 0
+    n = len(chunk)
+    while k + 1 < n and chunk[k][0] == "template" and chunk[k + 1][0] == "<":
+        k = skip_template_group(chunk, k + 1)
+    if k < n and chunk[k][0] in ("class", "struct"):
+        j = k + 1
+        while j + 1 < n:  # skip [[attributes]] and attribute macros
+            if chunk[j][0] == "[":
+                j = match_group(chunk, j, "[", "]")
+            elif IDENTIFIER.match(chunk[j][0]) and chunk[j + 1][0] == "(":
+                j = match_group(chunk, j + 1, "(", ")")
+            elif IDENTIFIER.match(chunk[j][0]) and chunk[j + 1][0] != "final" \
+                    and IDENTIFIER.match(chunk[j + 1][0]):
+                j += 1
+            else:
+                break
+        if j < n and IDENTIFIER.match(chunk[j][0]):
+            after = j + 1
+            if after < n and chunk[after][0] == "final":
+                after += 1
+            if after < n and chunk[after][0] in ("{", ":"):
+                return chunk[j][0], True
+            if after < n and chunk[after][0] == ";":
+                return chunk[j][0], False
+    stop = next((i for i in range(k, n)
+                 if chunk[i][0] in ("(", "=", "{", ";")), n)
+    owner = None
+    for i in range(k + 1, stop):
+        if chunk[i][0] == "::" and IDENTIFIER.match(chunk[i - 1][0]) and (
+                i + 2 == stop or chunk[i + 1][0] in ("~", "operator")):
+            owner = chunk[i - 1][0]
+    return owner, False
+
+
+def unused_class_findings(root: Path) -> list[Finding]:
+    """AUD-U1: a namespace-scope class or struct defined in a src/ header
+    that nothing under USE_DIRS names outside its own body, its
+    declarations and its out-of-line member definitions. Token rule over
+    the builtin tokenizer, run whichever engine ran; no tag."""
+    defined = []  # (name, file, line)
+    used = set()
+    for path in collect_files(root, USE_DIRS):
+        rel = path.relative_to(root).as_posix()
+        try:
+            code_lines, _ = preprocess(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError):
+            continue
+        # A directive's names count as uses (MWP_LOG_* expands to LogLine);
+        # its continuation lines are not code.
+        code = []
+        directive = False
+        for line in code_lines:
+            if directive or line.lstrip().startswith("#"):
+                used.update(re.findall(r"[A-Za-z_]\w*", line))
+                directive = line.rstrip().endswith("\\")
+                line = ""
+            code.append(line)
+        tokens = tokenize(code)
+        chunks = []
+        namespace_chunks(tokens, 0, len(tokens), chunks)
+        for chunk in chunks:
+            owner, defines = chunk_owner(chunk)
+            if defines and rel.startswith("src/") and rel.endswith(".h"):
+                line = next(ln for t, ln in chunk if t == owner)
+                defined.append((owner, rel, line))
+            used.update(t for t, _ in chunk
+                        if t != owner and IDENTIFIER.match(t))
+    return [Finding("AUD-U1", rel, line,
+                    f"'{name}' is named by nothing under "
+                    f"{', '.join(d + '/' for d in USE_DIRS)} beyond its own "
+                    "definitions: no binary runs it, so delete it (tests do "
+                    "not count as users)")
+            for name, rel, line in defined if name not in used]
 
 
 # --- builtin engine ---------------------------------------------------------
@@ -1670,7 +1805,7 @@ def libclang_available() -> bool:
 def run_engine(engine_name: str, root: Path, files: list[Path],
                compdb: Path | None):
     """Returns (engine_used, findings) after allowlist application. The line
-    rules run once per file after the engine, whichever it was.
+    rules and AUD-U1 run once after the engine, whichever it was.
 
     `auto` always runs the builtin engine and, when clang.cindex is
     importable and a compilation database exists, unions in the libclang
@@ -1715,6 +1850,7 @@ def run_engine(engine_name: str, root: Path, files: list[Path],
             print(f"determinism_audit: libclang engine failed ({err}); "
                   "continuing with builtin findings only", file=sys.stderr)
     findings.extend(line_findings(root, files))
+    findings.extend(unused_class_findings(root))
     findings = apply_allowlist(findings, annotations, observed, declared)
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return chosen, findings
@@ -1798,8 +1934,8 @@ def run_self_test(script_dir: Path) -> int:
             # No path prefix filter: the corpus root is not a repo root.
             eng = LibclangEngine(corpus, files, compdb, restrict_prefixes=())
             lf, la, lo, ld = eng.run()
-            lf = apply_allowlist(lf + line_findings(corpus, files), la, lo,
-                                 ld)
+            lf = apply_allowlist(lf + line_findings(corpus, files)
+                                 + unused_class_findings(corpus), la, lo, ld)
             lc_rules = {f.rule for f in lf}
             missing = [r for r in RULE_CLASSES if r not in lc_rules]
             if missing:
