@@ -320,7 +320,10 @@ void BM_RepairCycle(benchmark::State& state) {
   // checkpoint rollback, displaced-instance restart and the bounded
   // re-dispatch, NOT a full optimizer cycle. The fault path must stay far
   // cheaper than BM_OptimizeLoaded at the same scale or running it at the
-  // crash instant defeats its purpose.
+  // crash instant defeats its purpose. Each iteration rebuilds and places
+  // the system untimed (about 1 ms at /5 and 4 ms at /25, a hundred times
+  // the repair), so the iteration count is fixed: sized from the repair
+  // alone, the set-up made one run of both sizes take nearly three minutes.
   const int nodes = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
@@ -361,7 +364,11 @@ void BM_RepairCycle(benchmark::State& state) {
   }
   state.counters["nodes"] = nodes;
 }
-BENCHMARK(BM_RepairCycle)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RepairCycle)
+    ->Arg(5)
+    ->Arg(25)
+    ->Iterations(1000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EventStorm(benchmark::State& state) {
   // The event-driven controller service (src/svc) under storm: a placed
