@@ -281,8 +281,9 @@ void BM_LoadDistributor(benchmark::State& state) {
   // incumbent and a fixed set of its one-change neighbours (each node's
   // first job removed, then the next node's first job moved into that
   // slot), so the per-node decomposition memo serves only what a candidate
-  // leaves unchanged. Re-distributing one placement would hit it on every
-  // node after the first call.
+  // leaves unchanged, and the last water-fill is replayed only for a
+  // neighbour whose fill inputs match its predecessor's. Re-distributing
+  // one placement would replay every fill after the first call.
   const int nodes = static_cast<int>(state.range(0));
   BenchState bench(nodes, nodes * 3, 0);
   const PlacementSnapshot snap = bench.Snapshot();
@@ -310,6 +311,9 @@ void BM_LoadDistributor(benchmark::State& state) {
   state.counters["node_memo_reuse"] =
       static_cast<double>(stats.decomposition_reuses) /
       static_cast<double>(std::max<std::uint64_t>(stats.decompositions, 1));
+  state.counters["fill_reuse"] =
+      static_cast<double>(stats.fill_reuses) /
+      static_cast<double>(std::max<std::uint64_t>(stats.distribute_calls, 1));
 }
 BENCHMARK(BM_LoadDistributor)->Arg(5)->Arg(25)->Arg(50)->Unit(
     benchmark::kMillisecond);

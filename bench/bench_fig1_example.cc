@@ -36,7 +36,8 @@ static int Main(const mwp::CommandLine& cli) {
       ++cycle_no;
       for (const JobCycleDetail& d : c.job_details) {
         t.AddRow({FormatNumber(cycle_no, 0), FormatNumber(c.time, 0),
-                  "J" + std::to_string(d.id), FormatNumber(d.outstanding, 0),
+                  std::string("J").append(std::to_string(d.id)),
+                  FormatNumber(d.outstanding, 0),
                   FormatNumber(d.work_done, 0), d.placed ? "yes" : "-",
                   FormatNumber(d.allocation, 0),
                   FormatNumber(d.predicted_utility, 2),
@@ -47,7 +48,7 @@ static int Main(const mwp::CommandLine& cli) {
 
     Table outcomes({"job", "completion [s]", "goal [s]", "RP at completion"});
     for (const JobOutcomeRecord& r : result.outcomes) {
-      outcomes.AddRow({"J" + std::to_string(r.id),
+      outcomes.AddRow({std::string("J").append(std::to_string(r.id)),
                        FormatNumber(r.completion_time, 2),
                        FormatNumber(r.completion_goal, 0),
                        FormatNumber(r.achieved_utility, 3)});

@@ -90,13 +90,25 @@ struct EvalScratch {
   /// Rows a candidate's change list is diffed over.
   std::vector<int> diff_rows;
 
-  /// Last column fetched per job: a job's state usually repeats across
-  /// consecutive candidates, so this bypasses the shared cache's mutex for
-  /// the common case. Pointers stay valid for the cache's lifetime.
+  /// Per job, the last column fetched and the last cycle-end state
+  /// computed. A job's state usually repeats across consecutive candidates,
+  /// so the column half bypasses the shared cache's mutex for the common
+  /// case; pointers stay valid for the cache's lifetime. The state half is
+  /// keyed by the bits of the job's allocation and its running node
+  /// (kInvalidNode when it does not run), which with the snapshot decide
+  /// the state: whether the job completes inside the cycle, with which
+  /// utility, or else its (work_done, start_delay) at cycle end. When the
+  /// job does not complete, that pair is the column half's key: both halves
+  /// were written by the same call.
   struct ColumnMemo {
     std::uint64_t work_bits = 0;
     std::uint64_t delay_bits = 0;
     const HypotheticalRpf::Column* col = nullptr;
+    std::uint64_t alloc_bits = 0;
+    Utility completion_utility = kUtilityFloor;
+    int node = kInvalidNode;
+    bool has_state = false;
+    bool completes = false;
   };
   std::vector<ColumnMemo> last_columns;
   /// The evaluator whose column cache last_columns points into (its

@@ -7,6 +7,51 @@
 #include "common/check.h"
 
 namespace mwp {
+namespace {
+
+/// A job's state at the end of the next cycle: whether it completes inside
+/// the cycle, with the utility of its exact finish time, or else its
+/// hypothetical-RPF state (work done, delay before it could execute).
+struct CycleEndState {
+  bool completes = false;
+  Utility completion_utility = kUtilityFloor;
+  HypotheticalJobState state;
+};
+
+/// Advances `jv` through the next cycle at allocation `alloc` on `node`
+/// (kInvalidNode: the job does not run), charging VM latencies first.
+CycleEndState AdvanceToCycleEnd(const PlacementSnapshot& snap,
+                                const JobView& jv, MHz alloc, int node,
+                                Seconds cycle_end) {
+  CycleEndState end;
+  HypotheticalJobState& s = end.state;
+  s.profile = jv.profile;
+  s.goal = jv.goal;
+  s.work_done = jv.work_done;
+  if (node == kInvalidNode) {
+    // Not placed (or paused): if placed next cycle it pays its placement
+    // latency then.
+    s.start_delay = jv.place_overhead;
+    return end;
+  }
+  const Seconds exec_start = JobExecStart(snap, jv, node);
+  if (!(exec_start < cycle_end)) {
+    s.start_delay = exec_start - cycle_end;
+    return end;
+  }
+  s.work_done =
+      jv.profile->WorkAfterRunning(jv.work_done, alloc, cycle_end - exec_start);
+  if (jv.profile->RemainingWork(s.work_done) <= kEpsilon) {
+    const Seconds finish =
+        exec_start + jv.profile->RemainingTimeAtSpeed(jv.work_done, alloc);
+    end.completes = true;
+    end.completion_utility =
+        (jv.goal.completion_goal - finish) / jv.goal.relative_goal();
+  }
+  return end;
+}
+
+}  // namespace
 
 std::vector<Utility> RpVector(std::vector<Utility> entity_utilities) {
   std::sort(entity_utilities.begin(), entity_utilities.end());
@@ -92,109 +137,110 @@ PlacementEvaluation PlacementEvaluator::Score(
   eval.job_future_speeds.assign(static_cast<std::size_t>(snap.num_jobs()), 0.0);
 
   const Seconds cycle_end = snap.now() + snap.control_cycle();
+  if (column_cache_ != nullptr) {
+    if (scratch.owner_id != id_) {
+      // Scratch last used with a different evaluator: its memo points
+      // into that evaluator's column cache.
+      scratch.owner_id = id_;
+      scratch.last_columns.clear();
+    }
+    if (scratch.last_columns.size() !=
+        static_cast<std::size_t>(snap.num_jobs())) {
+      scratch.last_columns.assign(static_cast<std::size_t>(snap.num_jobs()),
+                                  {});
+    }
+  }
 
   // Advance each job through the next cycle; collect still-incomplete jobs
-  // for the hypothetical RPF evaluated at cycle end.
+  // for the hypothetical RPF evaluated at cycle end: their columns from the
+  // cache, or their states for the from-scratch path.
   std::vector<HypotheticalJobState>& hyp_jobs = scratch.hyp_jobs;
   std::vector<int>& hyp_index = scratch.hyp_index;  // job index per hyp entry
+  std::vector<const HypotheticalRpf::Column*>& cols = scratch.columns;
   hyp_jobs.clear();
   hyp_index.clear();
+  cols.clear();
   for (int j = 0; j < snap.num_jobs(); ++j) {
     const JobView& jv = snap.job(j);
-    const int entity = snap.EntityOfJob(j);
-    const MHz alloc = eval.distribution.totals[static_cast<std::size_t>(entity)];
+    const auto entity = static_cast<std::size_t>(snap.EntityOfJob(j));
+    const MHz alloc = eval.distribution.totals[entity];
     eval.batch_allocation += alloc;
+    const int node =
+        eval.distribution.placed[entity] && alloc > 0.0
+            ? eval.distribution.job_nodes[static_cast<std::size_t>(j)]
+            : kInvalidNode;
 
-    Megacycles done = jv.work_done;
-    Seconds start_delay_at_end = 0.0;
-    if (eval.distribution.placed[static_cast<std::size_t>(entity)] &&
-        alloc > 0.0) {
-      const int node = eval.distribution.job_nodes[static_cast<std::size_t>(j)];
-      const Seconds exec_start = JobExecStart(snap, jv, node);
-      if (exec_start < cycle_end) {
-        done = jv.profile->WorkAfterRunning(done, alloc, cycle_end - exec_start);
-        if (jv.profile->RemainingWork(done) <= kEpsilon) {
-          // Completes inside the cycle: utility of the exact finish time.
-          const Seconds finish =
-              exec_start +
-              jv.profile->RemainingTimeAtSpeed(jv.work_done, alloc);
-          eval.entity_utilities[static_cast<std::size_t>(entity)] =
-              (jv.goal.completion_goal - finish) / jv.goal.relative_goal();
-          eval.job_future_speeds[static_cast<std::size_t>(j)] = alloc;
-          continue;
-        }
-      } else {
-        start_delay_at_end = exec_start - cycle_end;
+    if (column_cache_ == nullptr) {
+      const CycleEndState end =
+          AdvanceToCycleEnd(snap, jv, alloc, node, cycle_end);
+      if (end.completes) {
+        eval.entity_utilities[entity] = end.completion_utility;
+        eval.job_future_speeds[static_cast<std::size_t>(j)] = alloc;
+        continue;
       }
-    } else {
-      // Not placed (or paused): if placed next cycle it pays its placement
-      // latency then.
-      start_delay_at_end = jv.place_overhead;
+      hyp_jobs.push_back(end.state);
+      hyp_index.push_back(j);
+      continue;
     }
-    HypotheticalJobState hs;
-    hs.profile = jv.profile;
-    hs.goal = jv.goal;
-    hs.work_done = done;
-    hs.start_delay = start_delay_at_end;
-    hyp_jobs.push_back(hs);
+
+    // A job whose allocation and node repeat its memo's keeps its state,
+    // and then its column too.
+    EvalScratch::ColumnMemo& memo =
+        scratch.last_columns[static_cast<std::size_t>(j)];
+    const auto alloc_bits = std::bit_cast<std::uint64_t>(alloc);
+    if (!memo.has_state || memo.alloc_bits != alloc_bits || memo.node != node) {
+      const CycleEndState end =
+          AdvanceToCycleEnd(snap, jv, alloc, node, cycle_end);
+      memo.has_state = true;
+      memo.alloc_bits = alloc_bits;
+      memo.node = node;
+      memo.completes = end.completes;
+      memo.completion_utility = end.completion_utility;
+      const auto wb = std::bit_cast<std::uint64_t>(end.state.work_done);
+      const auto db = std::bit_cast<std::uint64_t>(end.state.start_delay);
+      if (!end.completes && (memo.col == nullptr || memo.work_bits != wb ||
+                             memo.delay_bits != db)) {
+        memo.work_bits = wb;
+        memo.delay_bits = db;
+        memo.col = column_cache_->Get(j, end.state);
+      }
+    }
+    if (memo.completes) {
+      eval.entity_utilities[entity] = memo.completion_utility;
+      eval.job_future_speeds[static_cast<std::size_t>(j)] = alloc;
+      continue;
+    }
+    cols.push_back(memo.col);
     hyp_index.push_back(j);
   }
 
-  if (!hyp_jobs.empty()) {
-    if (column_cache_ != nullptr) {
-      // Assemble the hypothetical RPF from memoized per-job columns; the
-      // interpolation runs through the same EvaluateColumns as the
-      // from-scratch constructor path.
-      std::vector<const HypotheticalRpf::Column*>& cols = scratch.columns;
-      cols.resize(hyp_jobs.size());
-      if (scratch.owner_id != id_) {
-        // Scratch last used with a different evaluator: its memo points
-        // into that evaluator's column cache.
-        scratch.owner_id = id_;
-        scratch.last_columns.clear();
-      }
-      if (scratch.last_columns.size() !=
-          static_cast<std::size_t>(snap.num_jobs())) {
-        scratch.last_columns.assign(static_cast<std::size_t>(snap.num_jobs()),
-                                    {});
-      }
-      for (std::size_t k = 0; k < hyp_jobs.size(); ++k) {
-        const HypotheticalJobState& hs = hyp_jobs[k];
-        EvalScratch::ColumnMemo& memo =
-            scratch.last_columns[static_cast<std::size_t>(hyp_index[k])];
-        const auto wb = std::bit_cast<std::uint64_t>(hs.work_done);
-        const auto db = std::bit_cast<std::uint64_t>(hs.start_delay);
-        if (memo.col == nullptr || memo.work_bits != wb ||
-            memo.delay_bits != db) {
-          memo = {wb, db, column_cache_->Get(hyp_index[k], hs)};
-        }
-        cols[k] = memo.col;
-      }
-      scratch.row_sums.assign(grid_.size(), 0.0);
-      HypotheticalRpf::AccumulateRowSums(cols, scratch.row_sums);
-      scratch.outcomes.resize(hyp_jobs.size());
-      HypotheticalRpf::EvaluateColumns(cols, scratch.row_sums,
-                                       eval.batch_allocation,
-                                       scratch.outcomes);
-      for (std::size_t k = 0; k < scratch.outcomes.size(); ++k) {
-        const int entity = snap.EntityOfJob(hyp_index[k]);
-        eval.entity_utilities[static_cast<std::size_t>(entity)] =
-            scratch.outcomes[k].utility;
-        eval.job_future_speeds[static_cast<std::size_t>(hyp_index[k])] =
-            scratch.outcomes[k].speed;
-      }
-    } else {
-      const HypotheticalRpf hyp(
-          std::vector<HypotheticalJobState>(hyp_jobs.begin(), hyp_jobs.end()),
-          cycle_end, grid_);
-      const auto outcomes = hyp.Evaluate(eval.batch_allocation);
-      for (std::size_t k = 0; k < outcomes.size(); ++k) {
-        const int entity = snap.EntityOfJob(hyp_index[k]);
-        eval.entity_utilities[static_cast<std::size_t>(entity)] =
-            outcomes[k].utility;
-        eval.job_future_speeds[static_cast<std::size_t>(hyp_index[k])] =
-            outcomes[k].speed;
-      }
+  if (!cols.empty()) {
+    // Assemble the hypothetical RPF from memoized per-job columns; the
+    // interpolation runs through the same EvaluateColumns as the
+    // from-scratch constructor path.
+    scratch.row_sums.assign(grid_.size(), 0.0);
+    HypotheticalRpf::AccumulateRowSums(cols, scratch.row_sums);
+    scratch.outcomes.resize(cols.size());
+    HypotheticalRpf::EvaluateColumns(cols, scratch.row_sums,
+                                     eval.batch_allocation, scratch.outcomes);
+    for (std::size_t k = 0; k < scratch.outcomes.size(); ++k) {
+      const int entity = snap.EntityOfJob(hyp_index[k]);
+      eval.entity_utilities[static_cast<std::size_t>(entity)] =
+          scratch.outcomes[k].utility;
+      eval.job_future_speeds[static_cast<std::size_t>(hyp_index[k])] =
+          scratch.outcomes[k].speed;
+    }
+  } else if (!hyp_jobs.empty()) {
+    const HypotheticalRpf hyp(
+        std::vector<HypotheticalJobState>(hyp_jobs.begin(), hyp_jobs.end()),
+        cycle_end, grid_);
+    const auto outcomes = hyp.Evaluate(eval.batch_allocation);
+    for (std::size_t k = 0; k < outcomes.size(); ++k) {
+      const int entity = snap.EntityOfJob(hyp_index[k]);
+      eval.entity_utilities[static_cast<std::size_t>(entity)] =
+          outcomes[k].utility;
+      eval.job_future_speeds[static_cast<std::size_t>(hyp_index[k])] =
+          outcomes[k].speed;
     }
   }
 

@@ -21,9 +21,13 @@
 // Hot path: with Options::incremental (the default) step 3 assembles the
 // hypothetical RPF from per-job columns memoized in a HypColumnCache
 // instead of recomputing the W/V matrix, and all per-call buffers live in
-// an EvalScratch. Both paths funnel through the same column / interpolation
-// code, so incremental evaluation is bit-for-bit identical to the
-// from-scratch path (property-tested). Evaluate also accepts an optional
+// an EvalScratch. Step 2 is memoized per job in the scratch: a job's
+// cycle-end state depends only on the snapshot, its allocation and its
+// running node, so a job whose allocation bits and node repeat the last
+// call's keeps the state and column it had (the cache's Get runs exactly
+// when the column memo alone would miss). Both paths funnel through the
+// same column / interpolation code, so incremental evaluation is
+// bit-for-bit identical to the from-scratch path (property-tested). Evaluate also accepts an optional
 // reject bound: a candidate the objective proves loses against the bound's
 // score at its first index (max-min: the minimum biased utility) is
 // rejected before the score and change list are materialized — exactly the

@@ -141,6 +141,7 @@ std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
     DistributorScratch& scratch) const {
   const PlacementSnapshot& snap = *snapshot_;
   std::vector<FillEntity> entities;
+  entities.reserve(1 + static_cast<std::size_t>(snap.num_tx()));
 
   // One entity for the whole batch workload, routed through the placed job
   // instances. Per-node caps accumulate jobs in index order (the addition
@@ -148,13 +149,16 @@ std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
   // precondition leaves a job at most one instance: its node.
   FillEntity batch;
   batch.kind = FillEntity::Kind::kBatch;
-  std::vector<MHz> node_cap(static_cast<std::size_t>(snap.num_nodes()), 0.0);
+  std::vector<MHz>& node_cap = scratch.node_caps;
+  node_cap.assign(static_cast<std::size_t>(snap.num_nodes()), 0.0);
   for (int j = 0; j < snap.num_jobs(); ++j) {
     const int n = job_nodes[static_cast<std::size_t>(j)];
     if (n == kInvalidNode) continue;
     node_cap[static_cast<std::size_t>(n)] +=
         stage_caps_[static_cast<std::size_t>(j)];
   }
+  batch.nodes.reserve(node_cap.size());
+  batch.edge_caps.reserve(node_cap.size());
   for (int n = 0; n < snap.num_nodes(); ++n) {
     if (node_cap[static_cast<std::size_t>(n)] > 0.0) {
       batch.nodes.push_back(n);
@@ -162,41 +166,76 @@ std::vector<LoadDistributor::FillEntity> LoadDistributor::BuildEntities(
     }
   }
   if (!batch.nodes.empty()) {
-    MWP_DCHECK(hypothetical_ != nullptr);
-    batch.rpf = std::make_unique<BatchAggregateRpf>(hypothetical_.get());
     batch.active = true;
-    batch.max_u = batch.rpf->max_utility();
-    batch.demand_memo = &scratch.batch_demand_memo;
     entities.push_back(std::move(batch));
   }
 
   for (int w = 0; w < snap.num_tx(); ++w) {
     const int entity = snap.EntityOfTx(w);
-    const std::vector<int> nodes = p.NodesOf(entity);
+    std::vector<int> nodes = p.NodesOf(entity);
     if (nodes.empty()) continue;
-    const TxView& tv = snap.tx(w);
     FillEntity e;
     e.kind = FillEntity::Kind::kTx;
     e.entity = entity;
-    e.nodes = nodes;
-    for (int n : nodes) {
+    e.nodes = std::move(nodes);
+    e.edge_caps.reserve(e.nodes.size());
+    for (int n : e.nodes) {
       // A transactional instance may use its node's whole available CPU
       // (zero on a node captured offline, scaled when degraded).
       e.edge_caps.push_back(snap.NodeAvailableCpu(n));
     }
-    if (tv.arrival_rate <= 1e-12) {
+    if (snap.tx(w).arrival_rate <= 1e-12) {
       // No load: trivially satisfied with zero CPU.
       e.fixed_demand = 0.0;
       e.fixed_utility = 1.0;
       e.active = false;
     } else {
-      e.rpf = std::make_unique<QueuingModel>(tv.app->ModelAt(tv.arrival_rate));
       e.active = true;
-      e.max_u = e.rpf->max_utility();
     }
     entities.push_back(std::move(e));
   }
   return entities;
+}
+
+void LoadDistributor::ArmEntities(std::vector<FillEntity>& entities,
+                                  DistributorScratch& scratch) const {
+  for (FillEntity& e : entities) {
+    if (!e.active) continue;
+    if (e.kind == FillEntity::Kind::kBatch) {
+      MWP_DCHECK(hypothetical_ != nullptr);
+      e.rpf = std::make_unique<BatchAggregateRpf>(hypothetical_.get());
+      e.demand_memo = &scratch.batch_demand_memo;
+    } else {
+      const TxView& tv = snapshot_->tx(snapshot_->TxOfEntity(e.entity));
+      e.rpf = std::make_unique<QueuingModel>(tv.app->ModelAt(tv.arrival_rate));
+    }
+    e.max_u = e.rpf->max_utility();
+  }
+}
+
+bool LoadDistributor::RepeatsLastFill(
+    const std::vector<FillEntity>& entities,
+    const DistributorScratch::FillMemo& memo) {
+  if (!memo.valid || memo.entities.size() != entities.size()) return false;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < entities.size(); ++i) {
+    const FillEntity& e = entities[i];
+    const DistributorScratch::FillMemo::Entity& m = memo.entities[i];
+    if (m.batch != (e.kind == FillEntity::Kind::kBatch) ||
+        m.entity != e.entity || m.active != e.active ||
+        m.demand_bits != std::bit_cast<std::uint64_t>(e.fixed_demand) ||
+        m.utility_bits != std::bit_cast<std::uint64_t>(e.fixed_utility) ||
+        static_cast<std::size_t>(m.nodes_end) - k != e.nodes.size()) {
+      return false;
+    }
+    for (std::size_t n = 0; n < e.nodes.size(); ++n, ++k) {
+      if (memo.nodes[k] != e.nodes[n] ||
+          memo.cap_bits[k] != std::bit_cast<std::uint64_t>(e.edge_caps[n])) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void LoadDistributor::PrepareFlowNetwork(
@@ -555,23 +594,9 @@ DistributionResult LoadDistributor::Distribute(
   return DistributeFeasible(p, index.CandidateJobNodes(p, change), scratch);
 }
 
-DistributionResult LoadDistributor::DistributeFeasible(
-    const PlacementMatrix& p, std::vector<int> job_nodes,
-    DistributorScratch& scratch) const {
-  const PlacementSnapshot& snap = *snapshot_;
-  ++scratch.stats_.distribute_calls;
-  if (scratch.owner_id != id_) {
-    // Scratch last used with a different distributor: its memo tables do
-    // not apply to this snapshot.
-    scratch.owner_id = id_;
-    scratch.batch_demand_memo.clear();
-    scratch.node_memo.clear();
-  }
-  std::vector<FillEntity> entities = BuildEntities(p, job_nodes, scratch);
+void LoadDistributor::WaterFill(std::vector<FillEntity>& entities,
+                                DistributorScratch& scratch) const {
   PrepareFlowNetwork(entities, scratch);
-  if (!scratch.shared_node) ++scratch.stats_.unshared_calls;
-  const auto num_entities = static_cast<std::size_t>(snap.num_entities());
-
   std::vector<MHz>& demands = scratch.demands;
   demands.assign(entities.size(), 0.0);
   auto refresh_demands = [&](Utility level) {
@@ -691,9 +716,75 @@ DistributionResult LoadDistributor::DistributeFeasible(
   for (std::size_t i = 0; i < entities.size(); ++i) {
     demands[i] = entities[i].fixed_demand;
   }
-  std::vector<std::vector<MHz>>& routing = scratch.routing;
-  const bool routed = RouteDemands(demands, scratch, &routing);
+  const bool routed = RouteDemands(demands, scratch, &scratch.routing);
   MWP_CHECK_MSG(routed, "final fixed demands must be routable");
+}
+
+void LoadDistributor::FillAndRemember(std::vector<FillEntity>& entities,
+                                      DistributorScratch& scratch) const {
+  DistributorScratch::FillMemo& memo = scratch.fill_memo;
+  memo.valid = false;
+  memo.entities.clear();
+  memo.nodes.clear();
+  memo.cap_bits.clear();
+  for (const FillEntity& e : entities) {
+    memo.nodes.insert(memo.nodes.end(), e.nodes.begin(), e.nodes.end());
+    for (const MHz cap : e.edge_caps) {
+      memo.cap_bits.push_back(std::bit_cast<std::uint64_t>(cap));
+    }
+    DistributorScratch::FillMemo::Entity m;
+    m.batch = e.kind == FillEntity::Kind::kBatch;
+    m.entity = e.entity;
+    m.active = e.active;
+    m.demand_bits = std::bit_cast<std::uint64_t>(e.fixed_demand);
+    m.utility_bits = std::bit_cast<std::uint64_t>(e.fixed_utility);
+    m.nodes_end = static_cast<int>(memo.nodes.size());
+    memo.entities.push_back(m);
+  }
+  const std::uint64_t probes_before = scratch.stats_.flow_probes;
+  const std::uint64_t paths_before = scratch.stats_.rerouting_paths;
+  ArmEntities(entities, scratch);
+  WaterFill(entities, scratch);
+  for (std::size_t i = 0; i < entities.size(); ++i) {
+    memo.entities[i].fixed_demand = entities[i].fixed_demand;
+    memo.entities[i].fixed_utility = entities[i].fixed_utility;
+  }
+  memo.flow_probes = scratch.stats_.flow_probes - probes_before;
+  memo.rerouting_paths = scratch.stats_.rerouting_paths - paths_before;
+  memo.valid = true;
+}
+
+DistributionResult LoadDistributor::DistributeFeasible(
+    const PlacementMatrix& p, std::vector<int> job_nodes,
+    DistributorScratch& scratch) const {
+  const PlacementSnapshot& snap = *snapshot_;
+  ++scratch.stats_.distribute_calls;
+  if (scratch.owner_id != id_) {
+    // Scratch last used with a different distributor: its memo tables do
+    // not apply to this snapshot.
+    scratch.owner_id = id_;
+    scratch.batch_demand_memo.clear();
+    scratch.node_memo.clear();
+    scratch.fill_memo.valid = false;
+  }
+  std::vector<FillEntity> entities = BuildEntities(p, job_nodes, scratch);
+  DistributorScratch::FillMemo& memo = scratch.fill_memo;
+  if (RepeatsLastFill(entities, memo)) {
+    // Same inputs, same snapshot: the fill would take the same probes to
+    // the same doubles, and its routing is still in the scratch.
+    ++scratch.stats_.fill_reuses;
+    scratch.stats_.flow_probes += memo.flow_probes;
+    scratch.stats_.rerouting_paths += memo.rerouting_paths;
+    for (std::size_t i = 0; i < entities.size(); ++i) {
+      entities[i].fixed_demand = memo.entities[i].fixed_demand;
+      entities[i].fixed_utility = memo.entities[i].fixed_utility;
+    }
+  } else {
+    FillAndRemember(entities, scratch);
+  }
+  if (!scratch.shared_node) ++scratch.stats_.unshared_calls;
+  const std::vector<std::vector<MHz>>& routing = scratch.routing;
+  const auto num_entities = static_cast<std::size_t>(snap.num_entities());
 
   DistributionResult result;
   result.totals.assign(num_entities, 0.0);

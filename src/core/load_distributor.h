@@ -29,7 +29,14 @@
 // the ~50 feasibility probes of the bisection), the batch aggregate's
 // demand curve is memoized across candidates (it depends only on the
 // snapshot, not the placement), and so is each node's last decomposition
-// (it depends only on the node's share and the jobs it hosts). All reuse is
+// (it depends only on the node's share and the jobs it hosts). The last
+// water-fill is kept too, keyed by its fill entities: kind, snapshot
+// entity, starting state, node list and edge-cap bits. The network, every
+// probe's demands and verdict, and so the fixed demands, utilities and
+// final routing, are functions of those and the snapshot alone, so a call
+// that repeats them bit for bit replays the outcome and counts the probes
+// and rerouting paths the fill took (most one-change candidates of
+// identical jobs leave every node's batch cap where it was). All reuse is
 // bit-for-bit neutral: memoized values are the exact doubles a fresh
 // computation would produce.
 //
@@ -125,6 +132,9 @@ class DistributorScratch {
     /// Per-node batch decompositions, and those served by the node memo.
     std::uint64_t decompositions = 0;
     std::uint64_t decomposition_reuses = 0;
+    /// Distribute() calls that replayed the scratch's last water-fill; their
+    /// probes and rerouting paths are the recorded ones, counted again.
+    std::uint64_t fill_reuses = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -174,6 +184,9 @@ class DistributorScratch {
   std::vector<MHz> demands;
   std::vector<std::vector<MHz>> routing;
 
+  // Per-node batch edge caps, summed per call.
+  std::vector<MHz> node_caps;
+
   // Batch decomposition: the per-node job groups for the final assembly.
   std::vector<std::vector<int>> node_jobs;
 
@@ -193,6 +206,35 @@ class DistributorScratch {
     std::vector<Utility> utilities;
   };
   std::vector<NodeDecomposition> node_memo;
+
+  /// The last water-fill, keyed by its inputs per fill entity: kind and
+  /// snapshot entity, starting state (active flag, fixed demand and utility
+  /// bits), node list and edge-cap bits. With the snapshot these decide the
+  /// flow network and every probe, so a call whose inputs match bit for bit
+  /// replays the outcome: each entity's fixed demand and utility, and the
+  /// probes and rerouting paths the fill took. Its final routing is the one
+  /// left in `routing`, and `shared_node` is its network's. Cleared with
+  /// batch_demand_memo.
+  struct FillMemo {
+    /// False until a fill completes, and while one runs.
+    bool valid = false;
+    struct Entity {
+      bool batch = false;
+      int entity = -1;
+      bool active = false;
+      std::uint64_t demand_bits = 0;
+      std::uint64_t utility_bits = 0;
+      int nodes_end = 0;  // end of its nodes in `nodes` and `cap_bits`
+      MHz fixed_demand = 0.0;
+      Utility fixed_utility = kUtilityFloor;
+    };
+    std::vector<Entity> entities;
+    std::vector<int> nodes;
+    std::vector<std::uint64_t> cap_bits;
+    std::uint64_t flow_probes = 0;
+    std::uint64_t rerouting_paths = 0;
+  };
+  FillMemo fill_memo;
 };
 
 /// A fresh id for an object whose callers' scratches keep memo tables for
@@ -255,9 +297,23 @@ class LoadDistributor {
   DistributionResult DistributeFeasible(const PlacementMatrix& p,
                                         std::vector<int> job_nodes,
                                         DistributorScratch& scratch) const;
+  /// The fill entities with their nodes, edge caps and starting state; the
+  /// RPFs are attached by ArmEntities, which only a fill needs.
   std::vector<FillEntity> BuildEntities(const PlacementMatrix& p,
                                         const std::vector<int>& job_nodes,
                                         DistributorScratch& scratch) const;
+  void ArmEntities(std::vector<FillEntity>& entities,
+                   DistributorScratch& scratch) const;
+  /// Whether `entities` are the inputs of the scratch's last water-fill.
+  static bool RepeatsLastFill(const std::vector<FillEntity>& entities,
+                              const DistributorScratch::FillMemo& memo);
+  /// Fixes every entity's demand and utility by progressive filling and
+  /// leaves the final routing in scratch.routing.
+  void WaterFill(std::vector<FillEntity>& entities,
+                 DistributorScratch& scratch) const;
+  /// ArmEntities and WaterFill, kept in scratch.fill_memo for replay.
+  void FillAndRemember(std::vector<FillEntity>& entities,
+                       DistributorScratch& scratch) const;
   /// Builds the residual network for the current entity set into
   /// `scratch` (only source arcs vary per probe), or only the direct arcs
   /// when no node is shared.

@@ -45,7 +45,8 @@ Example43Result RunExample43(const Example43Config& config) {
       JobProfile profile =
           JobProfile::SingleStage(s.work, s.max_speed, /*memory=*/750.0);
       queue.Submit(std::make_unique<Job>(
-          static_cast<AppId>(i + 1), "J" + std::to_string(i + 1), profile,
+          static_cast<AppId>(i + 1),
+          std::string("J").append(std::to_string(i + 1)), profile,
           JobGoal::FromFactor(s.start, s.factor,
                               profile.min_execution_time())));
     });

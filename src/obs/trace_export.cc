@@ -209,11 +209,19 @@ static_assert(CsvCoversAlwaysWrittenFields<CycleTrace>());
 }  // namespace
 
 std::string FormatDouble(double value) {
-  if (std::isnan(value)) return "nan";
-  if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
   std::string out;
-  AppendChars(out, value);
+  AppendDouble(out, value);
   return out;
+}
+
+void AppendDouble(std::string& out, double value) {
+  if (std::isnan(value)) {
+    out += "nan";
+  } else if (std::isinf(value)) {
+    out += value > 0 ? "inf" : "-inf";
+  } else {
+    AppendChars(out, value);
+  }
 }
 
 TraceContext MakeTraceContext(std::string experiment, std::uint64_t seed,

@@ -92,5 +92,7 @@ void WriteMetricsJsonl(std::ostream& os, const MetricsSnapshot& snapshot);
 /// Shortest round-trip decimal form of `value` ("nan"/"inf"/"-inf" for
 /// non-finite values) — the exporters' number format, exposed for tests.
 std::string FormatDouble(double value);
+/// FormatDouble(value) appended to `out`.
+void AppendDouble(std::string& out, double value);
 
 }  // namespace mwp::obs

@@ -1,6 +1,8 @@
 #include "workload/scenario.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numbers>
 #include <sstream>
@@ -113,11 +115,49 @@ MHz BatchAllocation(JobQueue& queue) {
   return total;
 }
 
-void AppendEpisodes(std::ostringstream& os, const char* tag,
-                    const std::vector<BurstEpisode>& episodes) {
-  for (const BurstEpisode& e : episodes) {
-    os << tag << ' ' << obs::FormatDouble(e.start) << ' '
-       << obs::FormatDouble(e.duration) << '\n';
+template <typename Integer>
+void AppendInteger(std::string& out, Integer value) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  MWP_CHECK(ec == std::errc());
+  out.append(buf, ptr);
+}
+
+/// Renders `workload` one line at a time into one reused buffer and hands
+/// each line to `sink`; the lines concatenated are SerializeWorkload's text.
+template <typename Sink>
+void RenderWorkload(const ScenarioWorkload& workload, Sink&& sink) {
+  std::string line;
+  std::string tag;
+  const auto episodes = [&](const std::vector<BurstEpisode>& list) {
+    for (const BurstEpisode& e : list) {
+      line.assign(tag);
+      line += ' ';
+      obs::AppendDouble(line, e.start);
+      line += ' ';
+      obs::AppendDouble(line, e.duration);
+      line += '\n';
+      sink(line);
+    }
+  };
+  for (std::size_t i = 0; i < workload.tx_bursts.size(); ++i) {
+    tag = "txburst ";
+    AppendInteger(tag, i);
+    episodes(workload.tx_bursts[i]);
+  }
+  tag = "batchburst";
+  episodes(workload.batch_bursts);
+  for (const ScenarioJob& j : workload.jobs) {
+    line.clear();
+    line += "job ";
+    AppendInteger(line, j.id);
+    for (const double v :
+         {j.submit_time, j.work, j.max_speed, j.memory, j.goal_factor}) {
+      line += ' ';
+      obs::AppendDouble(line, v);
+    }
+    line += '\n';
+    sink(line);
   }
 }
 
@@ -237,30 +277,20 @@ ScenarioWorkload GenerateWorkload(const ScenarioSpec& spec) {
 }
 
 std::string SerializeWorkload(const ScenarioWorkload& workload) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < workload.tx_bursts.size(); ++i) {
-    std::ostringstream tag;
-    tag << "txburst " << i;
-    AppendEpisodes(os, tag.str().c_str(), workload.tx_bursts[i]);
-  }
-  AppendEpisodes(os, "batchburst", workload.batch_bursts);
-  for (const ScenarioJob& j : workload.jobs) {
-    os << "job " << j.id << ' ' << obs::FormatDouble(j.submit_time) << ' '
-       << obs::FormatDouble(j.work) << ' ' << obs::FormatDouble(j.max_speed)
-       << ' ' << obs::FormatDouble(j.memory) << ' '
-       << obs::FormatDouble(j.goal_factor) << '\n';
-  }
-  return os.str();
+  std::string text;
+  RenderWorkload(workload, [&text](const std::string& line) { text += line; });
+  return text;
 }
 
 std::uint64_t WorkloadHash(const ScenarioWorkload& workload) {
-  // FNV-1a, 64-bit.
-  const std::string text = SerializeWorkload(workload);
+  // FNV-1a, 64-bit, over SerializeWorkload's bytes as they are rendered.
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
+  RenderWorkload(workload, [&hash](const std::string& line) {
+    for (const char c : line) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001b3ULL;
+    }
+  });
   return hash;
 }
 

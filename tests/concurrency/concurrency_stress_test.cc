@@ -178,7 +178,9 @@ TEST(ConcurrencyStress, ConcurrentColumnCacheHitsAndMisses) {
   for (int t = 1; t < kThreads; ++t) {
     for (const auto& [key, col] : seen[static_cast<std::size_t>(t)]) {
       auto it = seen[0].find(key);
-      if (it != seen[0].end()) EXPECT_EQ(it->second, col);
+      if (it != seen[0].end()) {
+        EXPECT_EQ(it->second, col);
+      }
     }
   }
   const std::size_t total =

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <vector>
@@ -22,6 +23,7 @@ namespace mwp {
 namespace {
 
 using testing_fixtures::AddRandomConstraints;
+using testing_fixtures::RepeatingCandidateSequence;
 using testing_fixtures::SnapshotBuilder;
 
 /// A small random mixed-workload snapshot: a few nodes, a batch of jobs in
@@ -225,6 +227,104 @@ TEST(EvaluatorEquivalenceTest, RepeatedEvaluationsReuseCacheExactly) {
   if (snap.num_jobs() > 0) {
     EXPECT_GT(eval.cache_misses(), 0u);
   }
+}
+
+/// Every output bit of an evaluation, its distribution's included.
+std::vector<std::uint64_t> EvaluationBits(const PlacementEvaluation& e) {
+  const auto bits_of = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::vector<std::uint64_t> bits;
+  const auto add = [&](const std::vector<double>& values) {
+    bits.push_back(values.size());
+    for (const double v : values) bits.push_back(bits_of(v));
+  };
+  const DistributionResult& d = e.distribution;
+  add(d.totals);
+  add(d.utilities);
+  for (const bool placed : d.placed) bits.push_back(placed ? 1 : 0);
+  for (const int node : d.job_nodes) {
+    bits.push_back(static_cast<std::uint64_t>(node));
+  }
+  bits.push_back(bits_of(d.batch_level));
+  const std::vector<std::uint64_t> loads = Bits(d.Loads());
+  bits.insert(bits.end(), loads.begin(), loads.end());
+  add(e.entity_utilities);
+  add(e.job_future_speeds);
+  add(e.score);
+  bits.push_back(e.changes.size());
+  for (const PlacementChange& c : e.changes) {
+    for (const int v : {static_cast<int>(c.kind), c.app, c.from_node,
+                        c.to_node}) {
+      bits.push_back(static_cast<std::uint64_t>(v));
+    }
+  }
+  bits.push_back(bits_of(e.batch_allocation));
+  bits.push_back(bits_of(e.tx_allocation));
+  bits.push_back(e.rejected_by_bound ? 1 : 0);
+  return bits;
+}
+
+TEST(EvaluatorEquivalenceTest, RepeatedInputsScoreAsRecorded) {
+  // One evaluator and one scratch per snapshot score candidates whose
+  // inputs repeat, alternate, keep the batch node list with one edge cap
+  // changed, or move a job between nodes of equal CPU; the jobs pay a
+  // migration latency, so a job's node matters beside its allocation.
+  // Every output bit, the distributor's per-call counters and the column
+  // cache's hits and misses fold into a constant recorded before the
+  // scratches kept their last water-fill and job states; each call must
+  // also match a fresh evaluator on a fresh scratch.
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001B3ULL;
+  };
+  std::size_t calls = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    SnapshotBuilder b = RandomSnapshot(rng);
+    Rng overhead_rng(seed + 2'000'000);
+    for (JobView& v : b.jobs) {
+      v.migrate_overhead = overhead_rng.Uniform(0.0, 1.5);
+    }
+    const PlacementSnapshot snap = b.Build();
+    const std::vector<PlacementMatrix> sequence =
+        RepeatingCandidateSequence(snap, rng);
+    const PlacementEvaluator evaluator(&snap);
+    EvalScratch reused;
+    for (std::size_t k = 0; k < sequence.size(); ++k) {
+      const DistributorScratch::Stats before = reused.distributor.stats();
+      const PlacementEvaluation got =
+          evaluator.Evaluate(sequence[k], reused, nullptr);
+      const DistributorScratch::Stats& after = reused.distributor.stats();
+      const PlacementEvaluator fresh_evaluator(&snap);
+      EvalScratch fresh;
+      const PlacementEvaluation want =
+          fresh_evaluator.Evaluate(sequence[k], fresh, nullptr);
+      const std::vector<std::uint64_t> bits = EvaluationBits(got);
+      EXPECT_EQ(bits, EvaluationBits(want)) << "seed " << seed << " call " << k;
+      const DistributorScratch::Stats& once = fresh.distributor.stats();
+      const std::vector<std::uint64_t> counts = {
+          after.distribute_calls - before.distribute_calls,
+          after.flow_probes - before.flow_probes,
+          after.rerouting_paths - before.rerouting_paths,
+          after.unshared_calls - before.unshared_calls,
+          after.decompositions - before.decompositions};
+      EXPECT_EQ(counts,
+                (std::vector<std::uint64_t>{once.distribute_calls,
+                                            once.flow_probes,
+                                            once.rerouting_paths,
+                                            once.unshared_calls,
+                                            once.decompositions}))
+          << "seed " << seed << " call " << k;
+      for (const std::uint64_t v : bits) mix(v);
+      for (const std::uint64_t v : counts) mix(v);
+      ++calls;
+    }
+    mix(evaluator.cache_hits());
+    mix(evaluator.cache_misses());
+  }
+  std::printf("repeated-input fingerprint over %zu calls: 0x%016llx\n", calls,
+              static_cast<unsigned long long>(h));
+  EXPECT_EQ(h, 0xd51a39c89059cc18ULL);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 namespace mwp {
 namespace {
 
+using testing_fixtures::RepeatingCandidateSequence;
 using testing_fixtures::SnapshotBuilder;
 using testing_fixtures::TinyCluster;
 
@@ -635,6 +636,69 @@ TEST(LoadDistributorFingerprintTest, ReusedScratchMatchesFreshScratch) {
               static_cast<unsigned long long>(reuses),
               static_cast<unsigned long long>(decompositions));
   EXPECT_GT(reuses, 0u);
+}
+
+/// The counters a call on a reused scratch must share with the same call on
+/// a fresh one: all but the memo hits.
+std::vector<std::uint64_t> WorkCounters(const DistributorScratch::Stats& s) {
+  return {s.distribute_calls, s.flow_probes, s.rerouting_paths,
+          s.unshared_calls, s.decompositions};
+}
+
+TEST(LoadDistributorFingerprintTest, RepeatedInputsDistributeAsRecorded) {
+  // One scratch per snapshot distributes candidates whose inputs repeat,
+  // alternate, keep the batch node list with one edge cap changed, or move
+  // a job between nodes of equal CPU. Every output bit and every per-call
+  // counter, node-memo hits included, folds into a constant recorded before
+  // the scratch kept its last water-fill; each call must also match a fresh
+  // scratch.
+  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001B3ULL;
+  };
+  std::size_t calls = 0;
+  std::uint64_t fill_reuses = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    Rng rng(seed);
+    const SnapshotBuilder b = RandomDistributorSnapshot(rng);
+    const PlacementSnapshot snap = b.Build();
+    const std::vector<PlacementMatrix> sequence =
+        RepeatingCandidateSequence(snap, rng);
+    const LoadDistributor distributor(&snap);
+    DistributorScratch reused;
+    for (std::size_t k = 0; k < sequence.size(); ++k) {
+      const DistributorScratch::Stats before = reused.stats();
+      const DistributionResult r = distributor.Distribute(sequence[k], reused);
+      const DistributorScratch::Stats& after = reused.stats();
+      DistributorScratch fresh;
+      const DistributionResult expected =
+          distributor.Distribute(sequence[k], fresh);
+      const std::vector<std::uint64_t> bits = ResultBits(r);
+      EXPECT_EQ(bits, ResultBits(expected)) << "seed " << seed << " call " << k;
+      EXPECT_EQ(r.job_nodes, expected.job_nodes)
+          << "seed " << seed << " call " << k;
+      std::vector<std::uint64_t> counts = WorkCounters(after);
+      const std::vector<std::uint64_t> counts_before = WorkCounters(before);
+      for (std::size_t c = 0; c < counts.size(); ++c) {
+        counts[c] -= counts_before[c];
+      }
+      EXPECT_EQ(counts, WorkCounters(fresh.stats()))
+          << "seed " << seed << " call " << k;
+      for (const std::uint64_t v : bits) mix(v);
+      for (const int node : r.job_nodes) mix(static_cast<std::uint64_t>(node));
+      for (const std::uint64_t v : counts) mix(v);
+      mix(after.decomposition_reuses - before.decomposition_reuses);
+      ++calls;
+    }
+    fill_reuses += reused.stats().fill_reuses;
+  }
+  std::printf("repeated-input fingerprint over %zu calls: 0x%016llx\n", calls,
+              static_cast<unsigned long long>(h));
+  std::printf("%llu fills replayed\n",
+              static_cast<unsigned long long>(fill_reuses));
+  EXPECT_EQ(h, 0x8ed24c023cd628a5ULL);
+  EXPECT_GT(fill_reuses, 0u);
 }
 
 }  // namespace

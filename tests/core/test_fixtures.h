@@ -2,7 +2,10 @@
 // the shape of the paper's §4.3 example.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,6 +81,103 @@ struct SnapshotBuilder {
     return PlacementSnapshot(&cluster, now, cycle, jobs, tx_views);
   }
 };
+
+/// Feasible candidate placements in the orders that make a scorer's memos
+/// meet repeated inputs, drawn from `rng`: the current placement twice; two
+/// one-change neighbours alternated (A, B, A: a placed job removed, a
+/// queued job added); a queued job added beside a placed one and a job
+/// removed from a node that keeps another (the batch node list stays, one
+/// node's edge cap changes); a placed job moved to another node of equal
+/// available CPU, back, and there again.
+inline std::vector<PlacementMatrix> RepeatingCandidateSequence(
+    const PlacementSnapshot& snap, Rng& rng) {
+  const PlacementMatrix& current = snap.current_placement();
+  const int nodes = snap.num_nodes();
+  std::vector<PlacementMatrix> sequence{current, current};
+  std::vector<int> placed;
+  std::vector<int> queued;
+  std::vector<int> jobs_on(static_cast<std::size_t>(nodes), 0);
+  for (int j = 0; j < snap.num_jobs(); ++j) {
+    const int node = FirstNodeOf(current, snap.EntityOfJob(j));
+    if (node == kInvalidNode) {
+      queued.push_back(j);
+    } else {
+      placed.push_back(j);
+      ++jobs_on[static_cast<std::size_t>(node)];
+    }
+  }
+  const auto pick = [&rng](const std::vector<int>& jobs) {
+    return jobs[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(jobs.size()) - 1))];
+  };
+  // `entity` added to `p` on the first node, from a random start, that
+  // `wanted` accepts and where the result is feasible.
+  const auto place = [&](PlacementMatrix p, int entity,
+                         auto wanted) -> std::optional<PlacementMatrix> {
+    const int start = static_cast<int>(rng.UniformInt(0, nodes - 1));
+    for (int k = 0; k < nodes; ++k) {
+      const int n = (start + k) % nodes;
+      if (!wanted(n)) continue;
+      p.at(entity, n) = 1;
+      if (snap.IsFeasible(p)) return p;
+      p.at(entity, n) = 0;
+    }
+    return std::nullopt;
+  };
+  const auto any_node = [](int) { return true; };
+
+  std::optional<PlacementMatrix> a;
+  std::optional<PlacementMatrix> b;
+  if (!placed.empty()) {
+    PlacementMatrix p = current;
+    const int entity = snap.EntityOfJob(pick(placed));
+    p.at(entity, FirstNodeOf(p, entity)) = 0;
+    if (snap.IsFeasible(p)) a = std::move(p);
+  }
+  if (!queued.empty()) {
+    b = place(current, snap.EntityOfJob(pick(queued)), any_node);
+  }
+  for (const auto* step : {&a, &b, &a}) {
+    if (step->has_value()) sequence.push_back(**step);
+  }
+
+  const auto hosts_jobs = [&jobs_on](int n) {
+    return jobs_on[static_cast<std::size_t>(n)] > 0;
+  };
+  if (!queued.empty()) {
+    auto beside = place(current, snap.EntityOfJob(pick(queued)), hosts_jobs);
+    if (beside.has_value()) sequence.push_back(std::move(*beside));
+  }
+  for (const int j : placed) {
+    const int entity = snap.EntityOfJob(j);
+    const int node = FirstNodeOf(current, entity);
+    if (jobs_on[static_cast<std::size_t>(node)] < 2) continue;
+    PlacementMatrix p = current;
+    p.at(entity, node) = 0;
+    if (snap.IsFeasible(p)) sequence.push_back(std::move(p));
+    break;
+  }
+
+  if (!placed.empty()) {
+    const int entity = snap.EntityOfJob(pick(placed));
+    const int from = FirstNodeOf(current, entity);
+    const auto cpu_bits = [&snap](int n) {
+      return std::bit_cast<std::uint64_t>(snap.NodeAvailableCpu(n));
+    };
+    PlacementMatrix p = current;
+    p.at(entity, from) = 0;
+    const std::optional<PlacementMatrix> moved =
+        place(std::move(p), entity, [&](int n) {
+          return n != from && cpu_bits(n) == cpu_bits(from);
+        });
+    if (moved.has_value()) {
+      sequence.push_back(*moved);
+      sequence.push_back(current);
+      sequence.push_back(*moved);
+    }
+  }
+  return sequence;
+}
 
 /// Pins one random entity to a random node subset and separates two random
 /// entities, drawing from `rng` only. The current placement may violate

@@ -12,7 +12,7 @@ std::unique_ptr<Job> CompletedJob(AppId id, Seconds submit, double factor,
   JobProfile p = JobProfile::SingleStage(exec_seconds * 1'000.0, 1'000.0,
                                          100.0);
   auto job = std::make_unique<Job>(
-      id, "j" + std::to_string(id), p,
+      id, std::string("j").append(std::to_string(id)), p,
       JobGoal::FromFactor(submit, factor, p.min_execution_time()));
   job->Place(0, start_at, 0.0);
   job->SetAllocation(1'000.0);

@@ -16,7 +16,7 @@ ClusterSpec TwoNodes() {
 Job& SubmitJob(JobQueue& queue, AppId id, Megacycles work = 4'000.0) {
   JobProfile p = JobProfile::SingleStage(work, 1'000.0, 750.0);
   return queue.Submit(std::make_unique<Job>(
-      id, "j" + std::to_string(id), p,
+      id, std::string("j").append(std::to_string(id)), p,
       JobGoal::FromFactor(0.0, 5.0, p.min_execution_time())));
 }
 

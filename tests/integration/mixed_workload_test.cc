@@ -25,7 +25,8 @@ struct IntroScenario {
     for (AppId id = 1; id <= 4; ++id) {
       JobProfile p = JobProfile::SingleStage(100'000.0, 1'000.0, 1'000.0);
       queue.Submit(std::make_unique<Job>(
-          id, "J" + std::to_string(id), p, JobGoal::FromFactor(0.0, 3.0, 100.0)));
+          id, std::string("J").append(std::to_string(id)), p,
+          JobGoal::FromFactor(0.0, 3.0, 100.0)));
     }
   }
 

@@ -55,7 +55,9 @@ TEST(ControllerTraceTest, Experiment1TraceReproducesReportedSeries) {
     EXPECT_EQ(t.node_health.online, 5);
     EXPECT_EQ(t.node_health.offline, 0);
     EXPECT_GE(t.solver_seconds, 0.0);
-    if (!t.shortcut) EXPECT_GE(t.evaluations, 1);
+    if (!t.shortcut) {
+      EXPECT_GE(t.evaluations, 1);
+    }
   }
   // The identical-job workload admits a no-change policy (§5.1): the trace
   // must confirm the absence of disruptive changes cycle by cycle.

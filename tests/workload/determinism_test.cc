@@ -5,6 +5,7 @@
 // Alibaba trace and the replay gate stand on.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 
@@ -25,6 +26,19 @@ TEST(WorkloadDeterminismTest, SameSeedSameSerializedStream) {
   const ScenarioWorkload b = GenerateWorkload(SmallSpec());
   EXPECT_EQ(SerializeWorkload(a), SerializeWorkload(b));
   EXPECT_EQ(WorkloadHash(a), WorkloadHash(b));
+}
+
+TEST(WorkloadDeterminismTest, PresetStreamHashesAsRecorded) {
+  // The full 12-node preset's stream, pinned across commits: a renderer
+  // change that moves one byte of SerializeWorkload moves the hash.
+  const ScenarioWorkload workload =
+      GenerateWorkload(AlibabaScenarioSpec(/*num_nodes=*/12, /*seed=*/42));
+  const std::string text = SerializeWorkload(workload);
+  std::printf("%zu jobs, %zu bytes, hash 0x%016llx\n", workload.jobs.size(),
+              text.size(),
+              static_cast<unsigned long long>(WorkloadHash(workload)));
+  EXPECT_EQ(text.size(), 24'617u);
+  EXPECT_EQ(WorkloadHash(workload), 0xf747f83f498f3918ULL);
 }
 
 TEST(WorkloadDeterminismTest, DistinctSeedsDistinctStreams) {

@@ -222,11 +222,24 @@ TOKEN_RE = re.compile(
 )
 
 
+def directive_lines(code_lines: list[str]) -> list[bool]:
+    """Per line: whether it belongs to a preprocessor directive, the
+    backslash-continued lines of a multi-line one included."""
+    flags = []
+    continued = False
+    for line in code_lines:
+        directive = continued or line.lstrip().startswith("#")
+        flags.append(directive)
+        continued = directive and line.rstrip().endswith("\\")
+    return flags
+
+
 def tokenize(code_lines: list[str]):
     """Token list of (text, line)."""
     tokens = []
-    for line_no, line in enumerate(code_lines, start=1):
-        if line.lstrip().startswith("#"):
+    for line_no, (line, directive) in enumerate(
+            zip(code_lines, directive_lines(code_lines)), start=1):
+        if directive:
             continue  # preprocessor lines carry no decision code of interest
         for m in TOKEN_RE.finditer(line):
             tokens.append((m.group(0), line_no))
@@ -426,17 +439,11 @@ def unused_class_findings(root: Path) -> list[Finding]:
             code_lines, _ = preprocess(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError):
             continue
-        # A directive's names count as uses (MWP_LOG_* expands to LogLine);
-        # its continuation lines are not code.
-        code = []
-        directive = False
-        for line in code_lines:
-            if directive or line.lstrip().startswith("#"):
+        # A directive's names count as uses (MWP_LOG_* expands to LogLine).
+        for line, directive in zip(code_lines, directive_lines(code_lines)):
+            if directive:
                 used.update(re.findall(r"[A-Za-z_]\w*", line))
-                directive = line.rstrip().endswith("\\")
-                line = ""
-            code.append(line)
-        tokens = tokenize(code)
+        tokens = tokenize(code_lines)
         chunks = []
         namespace_chunks(tokens, 0, len(tokens), chunks)
         for chunk in chunks:
